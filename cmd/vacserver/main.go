@@ -37,6 +37,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -44,8 +45,11 @@ import (
 	"autovac/internal/vaccine"
 )
 
-// shutdownGrace bounds how long shutdown waits for in-flight requests.
-const shutdownGrace = 5 * time.Second
+// shutdownGrace bounds how long shutdown waits for in-flight requests
+// (a variable so tests can shorten it). Connections still open when it
+// expires — a parked long poll, a dialed connection that never sent a
+// request — are closed forcibly and counted in the final stats line.
+var shutdownGrace = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -118,7 +122,8 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 		onReady(ln.Addr().String())
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	var conns atomic.Int64
+	hs := &http.Server{Handler: srv.Handler(), ConnState: countConns(&conns)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -127,28 +132,32 @@ func run(ctx context.Context, args []string, out io.Writer, onReady func(addr st
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful drain: stop accepting, let in-flight requests finish.
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	forced, err := drain(hs, &conns, serveErr)
+	if err != nil {
 		return err
 	}
 	snap := srv.MetricsSnapshot()
 	fmt.Fprintf(out,
-		"vacserver: final stats: requests=%d deltas=%d not_modified=%d checkins=%d errors=%d bytes=%d active_hosts=%d converged=%d p50=%dµs p99=%dµs\n",
+		"vacserver: final stats: requests=%d deltas=%d not_modified=%d checkins=%d errors=%d bytes=%d active_hosts=%d converged=%d p50=%dµs p99=%dµs forced_closes=%d\n",
 		snap.Requests, snap.DeltasServed, snap.NotModified, snap.Checkins,
 		snap.Errors, snap.BytesServed, snap.ActiveHosts, snap.Converged,
-		snap.P50Micros, snap.P99Micros)
+		snap.P50Micros, snap.P99Micros, forced)
 	return nil
 }
 
 // runRelay serves the relay mode: mirror the upstream, serve the sync
 // protocol downstream, drain on cancellation.
 func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Writer, onReady func(addr string)) error {
-	rl, err := fleet.NewRelay(fleet.RelayConfig{Upstream: upstream, Shards: shards})
+	// The relay's own transport: its idle upstream connections are
+	// closed on exit instead of lingering in a process-wide pool, where
+	// the upstream's drain would have to wait them out.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer tr.CloseIdleConnections()
+	rl, err := fleet.NewRelay(fleet.RelayConfig{
+		Upstream: upstream,
+		Shards:   shards,
+		Client:   &http.Client{Transport: tr},
+	})
 	if err != nil {
 		return err
 	}
@@ -166,7 +175,8 @@ func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Wri
 	syncDone := make(chan struct{})
 	go func() { defer close(syncDone); rl.Run(runCtx) }()
 
-	hs := &http.Server{Handler: rl.Handler()}
+	var conns atomic.Int64
+	hs := &http.Server{Handler: rl.Handler(), ConnState: countConns(&conns)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -179,21 +189,53 @@ func runRelay(ctx context.Context, addr, upstream string, shards int, out io.Wri
 	}
 	cancel()
 	<-syncDone
-	sctx, scancel := context.WithTimeout(context.Background(), shutdownGrace)
-	defer scancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	forced, err := drain(hs, &conns, serveErr)
+	if err != nil {
 		return err
 	}
 	st := rl.Stats()
 	snap := rl.Server().MetricsSnapshot()
 	fmt.Fprintf(out,
-		"vacserver: relay final stats: mirrored_version=%d upstream_syncs=%d upstream_deltas=%d upstream_errors=%d resyncs=%d served_requests=%d served_deltas=%d cache_hits=%d\n",
+		"vacserver: relay final stats: mirrored_version=%d upstream_syncs=%d upstream_deltas=%d upstream_errors=%d resyncs=%d served_requests=%d served_deltas=%d cache_hits=%d forced_closes=%d\n",
 		rl.Version(), st.Syncs, st.Deltas, st.Errors, st.Resyncs,
-		snap.Requests, snap.DeltasServed, snap.EncodeCacheHits)
+		snap.Requests, snap.DeltasServed, snap.EncodeCacheHits, forced)
 	return nil
+}
+
+// countConns returns a ConnState hook keeping n equal to the server's
+// open connections.
+func countConns(n *atomic.Int64) func(net.Conn, http.ConnState) {
+	return func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			n.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			n.Add(-1)
+		}
+	}
+}
+
+// drain stops hs gracefully: stop accepting, let in-flight requests
+// finish within shutdownGrace, then close whatever is still open. It
+// returns how many connections that last step cut. A connection that
+// never sends a request keeps Shutdown waiting on net/http's own
+// five-second rule for new connections; without the forced close it
+// would turn every drain with one open into a failed exit.
+func drain(hs *http.Server, conns *atomic.Int64, serveErr <-chan error) (int64, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	var forced int64
+	if err := hs.Shutdown(ctx); err != nil {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			return 0, err
+		}
+		forced = conns.Load()
+		hs.Close()
+	}
+	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return forced, err
+	}
+	return forced, nil
 }
 
 // newFlagSet builds the flag set with output wired to out.

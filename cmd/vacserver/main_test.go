@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -288,6 +289,67 @@ func TestRelayModeServesUpstream(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("relay output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestDrainForceClosesSilentConnection pins the drain on a connection
+// that was dialed but never sent a request (a load balancer's TCP
+// probe, a relay's spare pre-dialed upstream connection). Shutdown
+// cannot close it before net/http's five-second rule for new
+// connections, which outlasts the grace; the drain must then close it
+// forcibly, return nil and report the cut in the final stats line.
+func TestDrainForceClosesSilentConnection(t *testing.T) {
+	defer func(g time.Duration) { shutdownGrace = g }(shutdownGrace)
+	shutdownGrace = 100 * time.Millisecond
+
+	pack := writePack(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &lockedBuffer{}
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-pack", pack}, out,
+			func(addr string) { ready <- addr })
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never became ready")
+	}
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts in order, so once a later connection has been
+	// answered the silent one has been accepted too.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + addr + fleet.PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v with a silent connection open", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not shut down")
+	}
+	got := out.String()
+	forced := -1
+	if i := strings.LastIndex(got, "forced_closes="); i >= 0 {
+		fmt.Sscanf(got[i:], "forced_closes=%d", &forced)
+	}
+	if forced < 1 {
+		t.Fatalf("final stats report %d forced closes, want at least 1:\n%s", forced, got)
 	}
 }
 

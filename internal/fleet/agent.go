@@ -3,9 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"time"
@@ -92,48 +91,40 @@ type AgentStats struct {
 // applied version back. An Agent is single-goroutine; run many agents
 // for many hosts.
 //
-// Concurrency contract: every mutable field — version, etag, stats,
-// and in particular rng — is owned by the goroutine driving SyncOnce
-// or Run. The retry backoff (after a failed fetch or checkin) and the
-// poll-loop jitter both draw from rng, but always from that one
-// goroutine: checkins are performed inline in SyncOnce, never from a
-// separate goroutine, so the rng is never reached concurrently.
-// TestAgentRNGOwnership pins this under -race.
+// Concurrency contract: every mutable field — the sync cursor, stats,
+// and in particular the sync client's rng — is owned by the goroutine
+// driving SyncOnce or Run. The retry backoff (after a failed fetch or
+// checkin) and the poll-loop jitter both draw from rng, but always
+// from that one goroutine: checkins are performed inline in SyncOnce,
+// never from a separate goroutine, so the rng is never reached
+// concurrently. TestAgentRNGOwnership pins this under -race.
 type Agent struct {
+	// syncClient fetches deltas and holds the applied cursor; it is
+	// configured from cfg once, in NewAgent.
+	syncClient
 	cfg    AgentConfig
 	daemon *deploy.Daemon
-	// version and etag track the last applied delta.
-	version uint64
-	etag    string
-	// rng is owned by this agent exclusively (never shared between
-	// agents, never a package-level source): it feeds retry backoff
-	// and Run's poll jitter from the agent's single goroutine.
-	rng   *rand.Rand
-	stats AgentStats
+	stats  AgentStats
 }
 
 // NewAgent creates an agent bound to a host environment.
 func NewAgent(cfg AgentConfig) *Agent {
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.Host == "" && cfg.Env != nil {
 		cfg.Host = cfg.Env.Identity().ComputerName
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
 	return &Agent{
+		syncClient: newSyncClient(syncClient{
+			client:      cfg.Client,
+			baseURL:     cfg.BaseURL,
+			wait:        cfg.LongPoll,
+			binary:      cfg.Binary,
+			who:         "agent " + cfg.Host,
+			maxRetries:  cfg.MaxRetries,
+			baseBackoff: cfg.BaseBackoff,
+			maxBackoff:  cfg.MaxBackoff,
+		}, int64(cfg.Seed)^int64(fnv32a(cfg.Host))),
 		cfg:    cfg,
 		daemon: deploy.NewDaemon(cfg.Env, cfg.Seed),
-		rng:    rand.New(rand.NewSource(int64(cfg.Seed) ^ int64(fnv32a(cfg.Host)))),
 	}
 }
 
@@ -152,51 +143,6 @@ func (a *Agent) Env() *winenv.Env { return a.cfg.Env }
 // Host returns the agent's check-in identifier.
 func (a *Agent) Host() string { return a.cfg.Host }
 
-// minJitterInterval is the floor every jittered delay is clamped to:
-// below it rng.Int63n would be fed a non-positive bound (a panic for
-// interval <= 0) and the poll loop would spin hot.
-const minJitterInterval = time.Millisecond
-
-// jitteredInterval returns d with ±50% jitter (uniform in [d/2, 3d/2)),
-// clamping d to minJitterInterval first. It is the one shared jitter
-// helper: retry backoff and the poll loop both draw through it, so
-// neither can panic on a degenerate duration.
-func jitteredInterval(rng *rand.Rand, d time.Duration) time.Duration {
-	if d < minJitterInterval {
-		d = minJitterInterval
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d)))
-}
-
-// backoffDelay computes the sleep before retry attempt n (0-based):
-// exponential growth with ±50% jitter, clamped to MaxBackoff. The
-// clamp applies to the jittered value, not just the exponential base —
-// otherwise an attempt at the cap could draw up to 1.5×MaxBackoff.
-func (a *Agent) backoffDelay(n int) time.Duration {
-	d := a.cfg.BaseBackoff << uint(n)
-	if d > a.cfg.MaxBackoff || d <= 0 {
-		d = a.cfg.MaxBackoff
-	}
-	d = jitteredInterval(a.rng, d)
-	if d > a.cfg.MaxBackoff {
-		d = a.cfg.MaxBackoff
-	}
-	return d
-}
-
-// backoff sleeps before retry attempt n (0-based), honouring context
-// cancellation.
-func (a *Agent) backoff(ctx context.Context, n int) error {
-	t := time.NewTimer(a.backoffDelay(n))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // retry runs op with bounded, jittered-exponential-backoff retries.
 func (a *Agent) retry(ctx context.Context, op func() error) error {
 	var err error
@@ -204,7 +150,7 @@ func (a *Agent) retry(ctx context.Context, op func() error) error {
 		if err = op(); err == nil {
 			return nil
 		}
-		if attempt >= a.cfg.MaxRetries {
+		if attempt >= a.maxRetries {
 			return err
 		}
 		a.stats.Retries++
@@ -212,89 +158,6 @@ func (a *Agent) retry(ctx context.Context, op func() error) error {
 			return berr
 		}
 	}
-}
-
-// fetch performs one GET /v1/packs round trip. A nil delta with nil
-// error means 304 Not Modified (for a long-poll fetch: the wait
-// expired with nothing published).
-func (a *Agent) fetch(ctx context.Context) (*DeltaResponse, error) {
-	url := fmt.Sprintf("%s%s?since=%d", a.cfg.BaseURL, PathPacks, a.version)
-	if a.cfg.LongPoll > 0 {
-		url += "&wait=" + a.cfg.LongPoll.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if a.etag != "" {
-		req.Header.Set("If-None-Match", a.etag)
-	}
-	if a.cfg.Binary {
-		req.Header.Set("Accept", ContentTypeDelta)
-	}
-	resp, err := a.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return nil, nil
-	case http.StatusOK:
-		delta, err := a.decodeDelta(resp)
-		if err != nil {
-			a.stats.DecodeErrors++
-			return nil, fmt.Errorf("fleet: agent %s: decoding delta: %w", a.cfg.Host, err)
-		}
-		return delta, nil
-	default:
-		// Carry the first line of the error body: "500" alone cannot
-		// distinguish an origin encode failure from an injected fault or
-		// a relay refusing an upstream.
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 120))
-		return nil, fmt.Errorf("fleet: agent %s: packs: %s (%s)",
-			a.cfg.Host, resp.Status, strings.TrimSpace(string(snippet)))
-	}
-}
-
-// decodeDelta decodes one 200 pack body under the encoding the server
-// declared, then sanity-checks the frame against the request. Any
-// failure — truncated binary frame, JSON garbage, a delta answering a
-// different cursor — is a retryable sync error: the caller counts it
-// and backs off, and the agent's cursor and ETag are untouched, so the
-// next attempt re-fetches from known-good state.
-func (a *Agent) decodeDelta(resp *http.Response) (*DeltaResponse, error) {
-	var delta *DeltaResponse
-	if isBinaryDelta(resp.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeltaPayload))
-		if err != nil {
-			return nil, err
-		}
-		if delta, err = DecodeDeltaBinary(body); err != nil {
-			return nil, err
-		}
-	} else {
-		delta = new(DeltaResponse)
-		if err := json.NewDecoder(resp.Body).Decode(delta); err != nil {
-			return nil, err
-		}
-	}
-	return delta, a.validateDelta(delta)
-}
-
-// validateDelta rejects structurally-decoded frames that cannot be the
-// answer to the request we made: a missing content digest, or a delta
-// cut after a cursor we never sent (a cache or relay serving someone
-// else's response). Reset deltas are exempt from the cursor check —
-// they rebase the agent by design.
-func (a *Agent) validateDelta(d *DeltaResponse) error {
-	if d.ETag == "" {
-		return fmt.Errorf("delta missing ETag")
-	}
-	if !d.Reset && d.Since != a.version {
-		return fmt.Errorf("delta for since=%d, requested %d", d.Since, a.version)
-	}
-	return nil
 }
 
 // checkin delivers one heartbeat.
@@ -311,12 +174,12 @@ func (a *Agent) checkin(ctx context.Context) error {
 		return err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.cfg.BaseURL+PathCheckin, strings.NewReader(string(body)))
+		a.baseURL+PathCheckin, strings.NewReader(string(body)))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.cfg.Client.Do(req)
+	resp, err := a.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -336,6 +199,9 @@ func (a *Agent) SyncOnce(ctx context.Context) (int, error) {
 	var delta *DeltaResponse
 	err := a.retry(ctx, func() error {
 		d, err := a.fetch(ctx)
+		if errors.Is(err, errBadDelta) {
+			a.stats.DecodeErrors++
+		}
 		if err != nil {
 			return err
 		}
@@ -361,8 +227,7 @@ func (a *Agent) SyncOnce(ctx context.Context) (int, error) {
 		a.stats.Skipped += skipped
 		a.stats.Failed += failed
 		applied = installed
-		a.version = delta.Version
-		a.etag = `"` + delta.ETag + `"`
+		a.advance(delta)
 	}
 	a.stats.Syncs++
 	if err := a.retry(ctx, func() error { return a.checkin(ctx) }); err != nil {
@@ -384,15 +249,11 @@ func (a *Agent) Run(ctx context.Context, interval time.Duration) error {
 		if _, err := a.SyncOnce(ctx); err != nil && ctx.Err() != nil {
 			return nil
 		}
-		if a.cfg.LongPoll > 0 {
+		if a.wait > 0 {
 			interval = minJitterInterval
 		}
-		t := time.NewTimer(jitteredInterval(a.rng, interval))
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if sleepCtx(ctx, jitteredInterval(a.rng, interval)) != nil {
 			return nil
-		case <-t.C:
 		}
 	}
 }

@@ -51,6 +51,67 @@ func analyzedPack(t *testing.T) []vaccine.Vaccine {
 	return vs
 }
 
+// eventFront serves next and broadcasts after every request it has
+// finished, so tests wait on protocol events instead of sleeping or
+// polling a deadline. arrive, when set before the first request, sees
+// each request as it arrives — before a long poll parks.
+type eventFront struct {
+	next   http.Handler
+	served *notifier
+	arrive func(*http.Request)
+}
+
+func newEventFront(next http.Handler) *eventFront {
+	return &eventFront{next: next, served: newNotifier()}
+}
+
+func (f *eventFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if f.arrive != nil {
+		f.arrive(r)
+	}
+	f.next.ServeHTTP(w, r)
+	f.served.wake()
+}
+
+// await blocks until cond holds, re-checking it after every request the
+// front finishes, and reports false if timeout passes first.
+func (f *eventFront) await(timeout time.Duration, cond func() bool) bool {
+	expired := time.After(timeout)
+	for {
+		served := f.served.wait() // grab before checking: no missed wake
+		if cond() {
+			return true
+		}
+		select {
+		case <-served:
+		case <-expired:
+			return false
+		}
+	}
+}
+
+// newEventServer is newTestServer behind an eventFront.
+func newEventServer(t *testing.T) (*Server, *eventFront, *httptest.Server) {
+	t.Helper()
+	srv := NewServer(NewRegistry(0))
+	front := newEventFront(srv.Handler())
+	ts := httptest.NewServer(front)
+	t.Cleanup(ts.Close)
+	return srv, front, ts
+}
+
+// checkinCounter counts the heartbeats that have reached a front; the
+// front's served broadcast follows each one.
+func checkinCounter(f *eventFront) *atomic.Int64 {
+	n := new(atomic.Int64)
+	f.arrive = func(r *http.Request) {
+		if r.URL.Path == PathCheckin {
+			n.Add(1)
+		}
+	}
+	return n
+}
+
 func newTestAgent(ts *httptest.Server, name string) *Agent {
 	id := winenv.DefaultIdentity()
 	id.ComputerName = name
@@ -218,13 +279,16 @@ func TestAgentRNGOwnership(t *testing.T) {
 }
 
 func TestAgentRunStopsOnCancel(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, front, ts := newEventServer(t)
 	srv.Registry().Publish(testVaccines("run", 2)...)
+	checkins := checkinCounter(front)
 	a := newTestAgent(ts, "AGENT-PC-05")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- a.Run(ctx, 2*time.Millisecond) }()
-	time.Sleep(25 * time.Millisecond)
+	// A sync counts itself before it heartbeats: a second heartbeat
+	// means two completed syncs.
+	front.await(5*time.Second, func() bool { return checkins.Load() >= 2 })
 	cancel()
 	select {
 	case err := <-done:
@@ -243,14 +307,16 @@ func TestAgentRunStopsOnCancel(t *testing.T) {
 // a zero (or negative) interval used to feed rng.Int63n a non-positive
 // bound and panic; now the draw is floored at minJitterInterval.
 func TestAgentRunZeroIntervalNoPanic(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, front, ts := newEventServer(t)
 	srv.Registry().Publish(testVaccines("z", 1)...)
+	checkins := checkinCounter(front)
 	for _, interval := range []time.Duration{0, -time.Second} {
 		a := newTestAgent(ts, "AGENT-PC-Z")
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
+		seen := checkins.Load()
 		go func() { done <- a.Run(ctx, interval) }()
-		time.Sleep(20 * time.Millisecond)
+		front.await(5*time.Second, func() bool { return checkins.Load() > seen })
 		cancel()
 		select {
 		case err := <-done:
@@ -317,8 +383,17 @@ func TestAgentResyncAfterRegistryRestart(t *testing.T) {
 // heartbeat the new version at publish latency, far sooner than its
 // (deliberately huge) poll interval.
 func TestAgentLongPollWakesOnPublish(t *testing.T) {
-	srv, ts := newTestServer(t)
+	srv, front, ts := newEventServer(t)
 	srv.Registry().Publish(testVaccines("st", 1)...)
+	parking := make(chan struct{}, 1)
+	front.arrive = func(r *http.Request) {
+		if r.URL.Path == PathPacks && r.URL.Query().Get("since") == "1" {
+			select {
+			case parking <- struct{}{}:
+			default:
+			}
+		}
+	}
 	id := winenv.DefaultIdentity()
 	id.ComputerName = "AGENT-PC-ST"
 	a := NewAgent(AgentConfig{
@@ -331,19 +406,20 @@ func TestAgentLongPollWakesOnPublish(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- a.Run(ctx, time.Hour) }()
 
-	// Let the agent take the initial delta and park, then publish.
-	time.Sleep(50 * time.Millisecond)
+	// Let the agent take the initial delta and come back to park, then
+	// publish.
+	select {
+	case <-parking:
+	case <-time.After(5 * time.Second):
+		t.Fatal("streaming agent never came back to park")
+	}
 	srv.Registry().Publish(testVaccines("st2", 1)...)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.Registry().Fleet(time.Minute, time.Now())
-		if st.ActiveHosts == 1 && st.MinVersion == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streaming agent never heartbeat version 2: fleet %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	var st FleetStatus
+	if !front.await(5*time.Second, func() bool {
+		st = srv.Registry().Fleet(time.Minute, time.Now())
+		return st.ActiveHosts == 1 && st.MinVersion == 2
+	}) {
+		t.Fatalf("streaming agent never heartbeat version 2: fleet %+v", st)
 	}
 	cancel()
 	select {

@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -39,19 +37,23 @@ import (
 // the rewound mirror — hit the since-ahead-of-registry path on their
 // next poll and receive Reset deltas in turn. The rebase cascades down
 // the tree with no side channel.
+//
+// Upstream deltas are validated like an agent's: one cut after a cursor
+// the relay never sent (an intermediary answering someone else's
+// request) is a retryable error that leaves the mirror untouched,
+// never a mirror that silently skips the records in between.
 type Relay struct {
-	cfg RelayConfig
+	// syncClient long-polls the upstream and holds the mirrored cursor.
+	// SyncOnce and Run drive it from one goroutine at a time; the cursor
+	// only moves under mu.
+	syncClient
 	reg *Registry
 	srv *Server
-	rng *rand.Rand
 
-	// mu guards the upstream cursor and stats: SyncOnce runs on the
-	// relay's sync goroutine, Stats and Version may be read from
-	// anywhere.
-	mu      sync.Mutex
-	version uint64
-	etag    string
-	stats   RelayStats
+	// mu guards the cursor's writes and the stats: Stats and Version
+	// may be read from anywhere.
+	mu    sync.Mutex
+	stats RelayStats
 }
 
 // RelayConfig configures one relay node.
@@ -98,28 +100,25 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("fleet: relay: empty upstream URL")
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.LongPoll <= 0 {
 		cfg.LongPoll = MaxLongPollWait
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	cfg.Upstream = strings.TrimRight(cfg.Upstream, "/")
+	upstream := strings.TrimRight(cfg.Upstream, "/")
 	reg := NewRegistry(cfg.Shards)
 	return &Relay{
-		cfg: cfg,
+		syncClient: newSyncClient(syncClient{
+			client:      cfg.Client,
+			baseURL:     upstream,
+			wait:        cfg.LongPoll,
+			binary:      true,
+			binaryOnly:  true,
+			who:         "relay",
+			maxRetries:  cfg.MaxRetries,
+			baseBackoff: cfg.BaseBackoff,
+			maxBackoff:  cfg.MaxBackoff,
+		}, int64(cfg.Seed)^int64(fnv32a(upstream))),
 		reg: reg,
 		srv: NewServer(reg),
-		rng: rand.New(rand.NewSource(int64(cfg.Seed) ^ int64(fnv32a(cfg.Upstream)))),
 	}, nil
 }
 
@@ -151,49 +150,18 @@ func (rl *Relay) Stats() RelayStats {
 // for a binary delta past the mirrored cursor and apply it. It returns
 // the number of vaccines applied (0 for a 304).
 func (rl *Relay) SyncOnce(ctx context.Context) (int, error) {
-	rl.mu.Lock()
-	since, etag := rl.version, rl.etag
-	rl.mu.Unlock()
-
-	url := fmt.Sprintf("%s%s?since=%d&wait=%s", rl.cfg.Upstream, PathPacks, since, rl.cfg.LongPoll)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	d, err := rl.fetch(ctx)
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Accept", ContentTypeDelta)
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	resp, err := rl.cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
+	if d == nil {
 		rl.mu.Lock()
 		rl.stats.Syncs++
 		rl.stats.NotModified++
 		rl.mu.Unlock()
 		return 0, nil
-	case http.StatusOK:
-	default:
-		return 0, fmt.Errorf("fleet: relay: upstream packs: %s", resp.Status)
 	}
-	if ct := resp.Header.Get("Content-Type"); !isBinaryDelta(ct) {
-		// A JSON delta has no per-vaccine version line to mirror;
-		// applying it would fork the version space. Refuse loudly.
-		return 0, fmt.Errorf("fleet: relay: upstream %s does not speak the binary delta codec (got %s)", rl.cfg.Upstream, ct)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxDeltaPayload))
-	if err != nil {
-		return 0, err
-	}
-	delta, err := DecodeDeltaBinary(body)
-	if err != nil {
-		return 0, fmt.Errorf("fleet: relay: decoding upstream delta: %w", err)
-	}
-	return rl.applyDelta(delta)
+	return rl.applyDelta(d)
 }
 
 // applyDelta mirrors one upstream delta into the local registry and
@@ -216,8 +184,7 @@ func (rl *Relay) applyDelta(d *DeltaResponse) (int, error) {
 	}
 	rl.reg.ratchetVersion(d.Version)
 	rl.reg.SetGenerator(d.Generator)
-	rl.version = d.Version
-	rl.etag = `"` + d.ETag + `"`
+	rl.advance(d)
 	rl.stats.Syncs++
 	rl.stats.Deltas++
 	// Wake downstream parked long-pollers: the mirror moved.
@@ -226,40 +193,28 @@ func (rl *Relay) applyDelta(d *DeltaResponse) (int, error) {
 }
 
 // Run long-polls the upstream until the context is cancelled. Upstream
-// failures are counted and retried with jittered exponential backoff;
-// success resets the backoff and re-polls immediately (the park
-// happens server-side).
+// failures are counted and retried with the sync client's jittered
+// exponential backoff; success resets the backoff and re-polls
+// immediately (the park happens server-side).
 func (rl *Relay) Run(ctx context.Context) error {
 	fails := 0
 	for ctx.Err() == nil {
-		if _, err := rl.SyncOnce(ctx); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			rl.mu.Lock()
-			rl.stats.Errors++
-			rl.mu.Unlock()
-			d := rl.cfg.BaseBackoff << uint(fails)
-			if d > rl.cfg.MaxBackoff || d <= 0 {
-				d = rl.cfg.MaxBackoff
-			}
-			if fails < rl.cfg.MaxRetries {
-				fails++
-			}
-			d = jitteredInterval(rl.rng, d)
-			if d > rl.cfg.MaxBackoff {
-				d = rl.cfg.MaxBackoff
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil
-			case <-t.C:
-			}
+		if _, err := rl.SyncOnce(ctx); err == nil {
+			fails = 0
 			continue
 		}
-		fails = 0
+		if ctx.Err() != nil {
+			return nil
+		}
+		rl.mu.Lock()
+		rl.stats.Errors++
+		rl.mu.Unlock()
+		if rl.backoff(ctx, fails) != nil {
+			return nil
+		}
+		if fails < rl.maxRetries {
+			fails++
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,9 @@ type relayHarness struct {
 	// like a process restart behind a stable address.
 	originTS *httptest.Server
 	relayTS  *httptest.Server
-	handler  atomic.Pointer[http.Handler]
+	// relayFront broadcasts every request the relay serves downstream.
+	relayFront *eventFront
+	handler    atomic.Pointer[http.Handler]
 }
 
 func newRelayHarness(t *testing.T) *relayHarness {
@@ -46,7 +49,8 @@ func newRelayHarness(t *testing.T) *relayHarness {
 		t.Fatal(err)
 	}
 	h.relay = rl
-	h.relayTS = httptest.NewServer(rl.Handler())
+	h.relayFront = newEventFront(rl.Handler())
+	h.relayTS = httptest.NewServer(h.relayFront)
 	t.Cleanup(h.relayTS.Close)
 	return h
 }
@@ -144,26 +148,24 @@ func TestRelayPushPropagation(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); a.Run(ctx, time.Hour) }()
 
-	// Wait for the first delta to land, then publish mid-park.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.relay.Version() != 1 || h.relay.Registry().Fleet(time.Minute, time.Now()).ActiveHosts != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("relay/agent never reached steady state: relay at %d", h.relay.Version())
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Wait for the first delta to land, then publish mid-park. Both
+	// conditions settle on a request the relay serves: the agent's
+	// heartbeat follows the delta the relay handed it.
+	timeout := 5 * time.Second
+	if !h.relayFront.await(timeout, func() bool {
+		return h.relay.Version() == 1 && h.relay.Registry().Fleet(time.Minute, time.Now()).ActiveHosts == 1
+	}) {
+		t.Fatalf("relay/agent never reached steady state: relay at %d", h.relay.Version())
 	}
 	h.origin.Registry().Publish(testVaccines("p1", 2)...)
 	target := h.origin.Registry().Latest()
-	for {
-		st := h.relay.Registry().Fleet(time.Minute, time.Now())
-		if st.ActiveHosts == 1 && st.MinVersion == target {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("publish never pushed through the tier: fleet %+v, relay at %d",
-				st, h.relay.Version())
-		}
-		time.Sleep(2 * time.Millisecond)
+	var st FleetStatus
+	if !h.relayFront.await(timeout, func() bool {
+		st = h.relay.Registry().Fleet(time.Minute, time.Now())
+		return st.ActiveHosts == 1 && st.MinVersion == target
+	}) {
+		t.Fatalf("publish never pushed through the tier: fleet %+v, relay at %d",
+			st, h.relay.Version())
 	}
 	cancel()
 	wg.Wait()
@@ -292,5 +294,69 @@ func TestRelayRefusesJSONUpstream(t *testing.T) {
 	}
 	if rl.Version() != 0 || rl.Registry().Count() != 0 {
 		t.Fatal("refused delta still mutated the mirror")
+	}
+}
+
+// TestRelayRejectsDeltaForWrongCursor serves the relay a genuine binary
+// delta cut after a cursor ahead of its own — an intermediary answering
+// someone else's request. Mirroring it would skip the records in
+// between for every downstream agent; the relay must instead fail the
+// round trip and leave the mirror exactly where it was.
+func TestRelayRejectsDeltaForWrongCursor(t *testing.T) {
+	srv := NewServer(NewRegistry(0))
+	srv.Registry().Publish(testVaccines("wc1", 3)...)
+	var ahead atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ahead.Load() {
+			q := r.URL.Query()
+			q.Set("since", "5")
+			r.URL.RawQuery = q.Encode()
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer front.Close()
+	rl, err := NewRelay(RelayConfig{Upstream: front.URL, LongPoll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := rl.SyncOnce(ctx); err != nil || rl.Version() != 3 {
+		t.Fatalf("first sync: version %d, %v", rl.Version(), err)
+	}
+
+	srv.Registry().Publish(testVaccines("wc2", 4)...) // versions 4..7
+	ahead.Store(true)
+	if _, err := rl.SyncOnce(ctx); err == nil {
+		t.Fatal("relay mirrored a delta answering a cursor it never sent")
+	}
+	if rl.Version() != 3 || rl.Registry().Latest() != 3 || rl.Registry().Count() != 3 {
+		t.Fatalf("rejected delta moved the mirror: cursor %d, registry v%d with %d vaccines",
+			rl.Version(), rl.Registry().Latest(), rl.Registry().Count())
+	}
+
+	// The cursor is intact, so an honest upstream heals the mirror.
+	ahead.Store(false)
+	if n, err := rl.SyncOnce(ctx); err != nil || n != 4 {
+		t.Fatalf("recovery sync: %d vaccines, %v", n, err)
+	}
+	assertMirrored(t, srv.Registry(), rl)
+}
+
+// TestRelayUpstreamErrorCarriesBody pins the error text of a failed
+// upstream round trip: the status alone cannot tell an origin encode
+// failure from a fault injected on the path, so the body snippet rides
+// along.
+func TestRelayUpstreamErrorCarriesBody(t *testing.T) {
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "encode failed: disk full", http.StatusInternalServerError)
+	}))
+	defer up.Close()
+	rl, err := NewRelay(RelayConfig{Upstream: up.URL, LongPoll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rl.SyncOnce(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "encode failed: disk full") {
+		t.Fatalf("upstream error %v does not carry the body", err)
 	}
 }

@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
@@ -22,13 +20,14 @@ import (
 // Control-plane scale simulation: how fast does a publish reach N
 // hosts, and what does the transport cost? Unlike Simulate (which runs
 // full agents with real host environments and deploy daemons over a
-// loopback listener), this harness strips each host to the sync loop
-// itself — version cursor, ETag, HTTP exchange — and runs the exchanges
-// over an in-process transport that invokes the server handler
-// directly. No TCP, no file descriptors, no daemons: the per-host cost
-// is one goroutine, so fleets of 100k–1M hosts fit in one process and
-// the measurement isolates the control plane (registry, handler,
-// long-poll broadcaster) instead of the emulation stack.
+// loopback listener), this harness strips each host to the sync client
+// the Agent ships — the same fetch, decode, validate, cursor advance
+// and backoff, minus install and checkin — and runs the exchanges over
+// an in-process transport that invokes the server handler directly.
+// No TCP, no file descriptors, no daemons: the per-host cost is one
+// goroutine, so fleets of 100k–1M hosts fit in one process and the
+// measurement isolates the control plane (registry, handler, long-poll
+// broadcaster, relay tier) instead of the emulation stack.
 
 // ControlPlaneConfig configures SimulateControlPlane.
 type ControlPlaneConfig struct {
@@ -103,9 +102,11 @@ type ControlPlaneResult struct {
 // memTransport invokes an http.Handler in the caller's goroutine — the
 // in-process equivalent of a TCP round trip. A long-poll request parks
 // the calling goroutine inside the handler, exactly like a parked
-// connection, without a second goroutine or a socket.
+// connection, without a second goroutine or a socket. It sees every
+// exchange, so it is where requests and wire bytes are counted.
 type memTransport struct {
-	h http.Handler
+	h               http.Handler
+	requests, bytes atomic.Uint64
 }
 
 func (t *memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -113,6 +114,8 @@ func (t *memTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.h.ServeHTTP(rec, req)
 	resp := rec.Result()
 	resp.Request = req
+	t.requests.Add(1)
+	t.bytes.Add(wireBytes(req, resp, rec.Body.Len()))
 	return resp, nil
 }
 
@@ -145,106 +148,70 @@ func wireBytes(req *http.Request, resp *http.Response, body int) uint64 {
 	return uint64(n + body)
 }
 
-// liteAgent is one simulated host's sync state. The cursor fields and
-// counters are owned by the agent's goroutine; appliedVer/applyNanos
-// are the cross-goroutine convergence signal the publisher reads.
-type liteAgent struct {
-	client  *http.Client
-	baseURL string
-	waitArg string // pre-rendered "&wait=..." (empty = plain poll)
-	binary  bool
-	rng     *rand.Rand
-
-	version uint64
-	etag    string
-
-	requests, bytes     uint64
-	deltas, notModified uint64
-	errors, decodeErrs  uint64
-	applyNanos          atomic.Int64
-	appliedVer          atomic.Uint64
+// scaleHost is one simulated host: the shipped sync client — fetch,
+// decode, validate, cursor advance, backoff — with no install and no
+// checkin. The client and counters are owned by the host's goroutine;
+// appliedVer/applyNanos are the cross-goroutine convergence signal the
+// publisher reads.
+type scaleHost struct {
+	syncClient
+	deltas, notModified, decodeErrs uint64
+	applyNanos                      atomic.Int64
+	appliedVer                      atomic.Uint64
 }
 
-// fetch performs one pack exchange and applies the result to the
-// cursor. Install is a no-op — the measurement is the control plane,
-// not the deploy daemon.
-func (a *liteAgent) fetch(ctx context.Context) error {
-	url := fmt.Sprintf("%s%s?since=%d%s", a.baseURL, PathPacks, a.version, a.waitArg)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
+// sync performs one pack exchange and advances the cursor on a delta.
+func (h *scaleHost) sync(ctx context.Context) error {
+	d, err := h.fetch(ctx)
+	switch {
+	case errors.Is(err, errBadDelta):
+		h.decodeErrs++
 		return err
-	}
-	if a.etag != "" {
-		req.Header.Set("If-None-Match", a.etag)
-	}
-	if a.binary {
-		req.Header.Set("Accept", ContentTypeDelta)
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
+	case err != nil:
 		return err
+	case d == nil:
+		h.notModified++
+		return nil
 	}
-	defer resp.Body.Close()
-	a.requests++
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		a.notModified++
-		a.bytes += wireBytes(req, resp, 0)
-	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		a.bytes += wireBytes(req, resp, len(body))
-		// Decode under the encoding the server declared, like the real
-		// agent. A malformed body is a retryable condition, not a crash:
-		// count it and leave the cursor where it was.
-		var delta *DeltaResponse
-		if isBinaryDelta(resp.Header.Get("Content-Type")) {
-			delta, err = DecodeDeltaBinary(body)
-		} else {
-			delta = new(DeltaResponse)
-			err = json.Unmarshal(body, delta)
-		}
-		if err != nil {
-			a.decodeErrs++
-			return nil
-		}
-		a.deltas++
-		a.version = delta.Version
-		a.etag = `"` + delta.ETag + `"`
-		a.applyNanos.Store(time.Now().UnixNano())
-		a.appliedVer.Store(delta.Version)
-	default:
-		a.errors++
-	}
+	h.deltas++
+	h.advance(d)
+	h.applyNanos.Store(time.Now().UnixNano())
+	h.appliedVer.Store(d.Version)
 	return nil
 }
 
-// run drives one agent until cancellation: long-polling back to back
+// run drives one host until cancellation: long-polling back to back
 // (the park happens server-side), or plain polling at the configured
-// cadence from a random initial phase.
-func (a *liteAgent) run(ctx context.Context, interval time.Duration) {
-	if a.waitArg != "" {
-		for ctx.Err() == nil {
-			if err := a.fetch(ctx); err != nil {
-				return // transport errors here are context cancellation
+// cadence from a random initial phase. A failed exchange backs off
+// before the next one, exactly as Relay.Run does.
+func (h *scaleHost) run(ctx context.Context, interval time.Duration) {
+	var timer *time.Timer
+	if h.wait == 0 {
+		timer = time.NewTimer(time.Duration(h.rng.Int63n(int64(interval))))
+		defer timer.Stop()
+	}
+	fails := 0
+	for ctx.Err() == nil {
+		if timer != nil {
+			select {
+			case <-ctx.Done():
+				return
+			case <-timer.C:
 			}
 		}
-		return
-	}
-	timer := time.NewTimer(time.Duration(a.rng.Int63n(int64(interval))))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
+		if err := h.sync(ctx); err == nil {
+			fails = 0
+		} else {
+			if h.backoff(ctx, fails) != nil {
+				return
+			}
+			if fails < h.maxRetries {
+				fails++
+			}
 		}
-		if err := a.fetch(ctx); err != nil {
-			return
+		if timer != nil {
+			timer.Reset(interval)
 		}
-		timer.Reset(interval)
 	}
 }
 
@@ -293,7 +260,9 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 	reg := NewRegistry(0)
 	reg.SetGenerator("controlplane")
 	srv := NewServer(reg)
-	originClient := &http.Client{Transport: &memTransport{h: srv.Handler()}}
+	// Agent-facing transports: the fleet's request and byte counts are
+	// theirs. Relays reach the origin through a transport of their own.
+	edges := []*memTransport{{h: srv.Handler()}}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -303,13 +272,13 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 	// With a relay tier, agents talk to their relay's in-process
 	// handler; the origin sees only the relays' long-poll clients.
 	relays := make([]*Relay, cfg.Relays)
-	downstream := []*http.Client{originClient}
 	if cfg.Relays > 0 {
-		downstream = downstream[:0]
+		upstream := &http.Client{Transport: edges[0]}
+		edges = edges[:0]
 		for i := range relays {
 			rl, err := NewRelay(RelayConfig{
 				Upstream: "http://origin.sim",
-				Client:   originClient,
+				Client:   upstream,
 				Seed:     cfg.Seed + uint64(i)*7919,
 			})
 			if err != nil {
@@ -318,7 +287,7 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 				return nil, err
 			}
 			relays[i] = rl
-			downstream = append(downstream, &http.Client{Transport: &memTransport{h: rl.Handler()}})
+			edges = append(edges, &memTransport{h: rl.Handler()})
 			wg.Add(1)
 			go func(rl *Relay) {
 				defer wg.Done()
@@ -334,23 +303,23 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 		}
 	}
 
-	waitArg := ""
-	if cfg.LongPoll > 0 {
-		waitArg = "&wait=" + cfg.LongPoll.String()
+	clients := make([]*http.Client, len(edges))
+	for i, t := range edges {
+		clients[i] = &http.Client{Transport: t}
 	}
-	agents := make([]*liteAgent, cfg.Hosts)
+	agents := make([]*scaleHost, cfg.Hosts)
 	for i := range agents {
-		agents[i] = &liteAgent{
-			client:  downstream[i%len(downstream)],
+		agents[i] = &scaleHost{syncClient: newSyncClient(syncClient{
+			client:  clients[i%len(clients)],
 			baseURL: "http://controlplane.sim",
-			waitArg: waitArg,
+			wait:    cfg.LongPoll,
 			binary:  cfg.Binary,
-			rng:     rand.New(rand.NewSource(int64(cfg.Seed) + int64(i))),
-		}
+			who:     "control-plane host",
+		}, int64(cfg.Seed)+int64(i))}
 	}
 	for _, a := range agents {
 		wg.Add(1)
-		go func(a *liteAgent) {
+		go func(a *scaleHost) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -430,9 +399,11 @@ func SimulateControlPlane(ctx context.Context, cfg ControlPlaneConfig) (*Control
 		return nil, fmt.Errorf("%s", *p)
 	}
 
+	for _, t := range edges {
+		res.Requests += t.requests.Load()
+		res.BytesOnWire += t.bytes.Load()
+	}
 	for _, a := range agents {
-		res.Requests += a.requests
-		res.BytesOnWire += a.bytes
 		res.Deltas += a.deltas
 		res.NotModified += a.notModified
 		res.DecodeErrors += a.decodeErrs
