@@ -19,23 +19,6 @@ import (
 // measurements are comparable with `go test -bench` output.
 const benchSeed = 42
 
-// benchBaseline is a seed-tree measurement (commit 1f48890's emulator,
-// measured on the commit immediately before the predecode/shadow/arena
-// layers landed; Intel Xeon @ 2.10GHz, go1.22). The -bench mode prints
-// before/after against these so a speedup claim is attached to numbers,
-// not adjectives.
-type benchBaseline struct {
-	NsPerOp     float64
-	AllocsPerOp float64
-}
-
-var baselines = map[string]benchBaseline{
-	"Emulator":                 {NsPerOp: 834_000, AllocsPerOp: 534},
-	"EmulatorWithSteps":        {NsPerOp: 899_600, AllocsPerOp: 724},
-	"SliceReplay":              {NsPerOp: 427_500, AllocsPerOp: 275},
-	"Phase1CandidateSelection": {NsPerOp: 63_770_000, AllocsPerOp: 30_271},
-}
-
 // benchRow is one measurement in BENCH_emu.json.
 type benchRow struct {
 	Name        string  `json:"name"`
@@ -44,20 +27,20 @@ type benchRow struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
-
-	BaselineNsPerOp     float64 `json:"baseline_ns_per_op,omitempty"`
-	BaselineAllocsPerOp float64 `json:"baseline_allocs_per_op,omitempty"`
-	Speedup             float64 `json:"speedup,omitempty"`
+	// BlocksOverStepwise is the tier-2 row's stepwise-over-blocks ns/op
+	// ratio, both measured in the same run.
+	BlocksOverStepwise float64 `json:"blocks_over_stepwise,omitempty"`
 }
 
-// benchReport is the machine-readable BENCH_emu.json document.
+// benchReport is the machine-readable BENCH_emu.json document. Every
+// number in it comes from one run on one machine: ns/op recorded on
+// other hardware is not comparable, so no row carries a baseline.
 type benchReport struct {
-	GOOS     string     `json:"goos"`
-	GOARCH   string     `json:"goarch"`
-	Go       string     `json:"go"`
-	Seed     int64      `json:"seed"`
-	Baseline string     `json:"baseline"`
-	Results  []benchRow `json:"results"`
+	GOOS    string     `json:"goos"`
+	GOARCH  string     `json:"goarch"`
+	Go      string     `json:"go"`
+	Seed    int64      `json:"seed"`
+	Results []benchRow `json:"results"`
 }
 
 // runBench executes the emulator benchmark trajectory in-process and
@@ -69,11 +52,10 @@ func runBench(outPath string) error {
 	}
 
 	rep := &benchReport{
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		Go:       runtime.Version(),
-		Seed:     benchSeed,
-		Baseline: "seed emulator (pre predecode/sparse-shadow/arena), Xeon 2.10GHz",
+		GOOS:   runtime.GOOS,
+		GOARCH: runtime.GOARCH,
+		Go:     runtime.Version(),
+		Seed:   benchSeed,
 	}
 
 	measure := func(name string, steps *int, fn func(b *testing.B)) benchRow {
@@ -88,11 +70,6 @@ func runBench(outPath string) error {
 		}
 		if *steps > 0 && r.T > 0 {
 			row.StepsPerSec = float64(*steps) / r.T.Seconds()
-		}
-		if base, ok := baselines[name]; ok && row.NsPerOp > 0 {
-			row.BaselineNsPerOp = base.NsPerOp
-			row.BaselineAllocsPerOp = base.AllocsPerOp
-			row.Speedup = base.NsPerOp / row.NsPerOp
 		}
 		rep.Results = append(rep.Results, row)
 		return row
@@ -130,8 +107,7 @@ func runBench(outPath string) error {
 		}
 	})
 
-	// Pooled arena re-execution — Phase-II's steady state. No seed
-	// baseline: the Runner did not exist in the seed tree.
+	// Pooled arena re-execution — Phase-II's steady state.
 	runner, err := emu.NewRunner(zeus.Program, winenv.New(winenv.DefaultIdentity()))
 	if err != nil {
 		return err
@@ -152,8 +128,7 @@ func runBench(outPath string) error {
 	// stalling-evasion workload (tight untainted loop + timing check),
 	// where instruction dispatch dominates. Same binary, same runner
 	// shape; only Options.DisableBlocks differs, and execution is
-	// byte-identical either way. The blocks row's speedup field records
-	// the blocks-over-stepwise ratio rather than a seed-tree baseline.
+	// byte-identical either way. The blocks row records the ratio.
 	stallSpec := &malware.Spec{Name: "bench-stalling", Category: malware.Trojan,
 		Behaviors: []malware.Behavior{
 			{Kind: malware.BehStalling, Count: 20_000},
@@ -189,10 +164,7 @@ func runBench(outPath string) error {
 		return err
 	}
 	if stepRow.NsPerOp > 0 && blocksRow.NsPerOp > 0 {
-		tier2 := &rep.Results[len(rep.Results)-2]
-		tier2.BaselineNsPerOp = stepRow.NsPerOp
-		tier2.BaselineAllocsPerOp = float64(stepRow.AllocsPerOp)
-		tier2.Speedup = stepRow.NsPerOp / blocksRow.NsPerOp
+		rep.Results[len(rep.Results)-2].BlocksOverStepwise = stepRow.NsPerOp / blocksRow.NsPerOp
 	}
 
 	// Slice replay per algorithm-deterministic vaccine.
@@ -237,18 +209,18 @@ func runBench(outPath string) error {
 	// Human-readable table alongside the JSON.
 	fmt.Printf("emulator bench trajectory (seed %d, %s/%s, %s)\n",
 		benchSeed, rep.GOOS, rep.GOARCH, rep.Go)
-	fmt.Printf("%-26s %14s %12s %14s %10s\n", "benchmark", "ns/op", "allocs/op", "steps/sec", "speedup")
+	fmt.Printf("%-26s %14s %12s %14s %12s\n", "benchmark", "ns/op", "allocs/op", "steps/sec", "vs stepwise")
 	for _, r := range rep.Results {
 		speed, sps := "-", "-"
-		if r.Speedup > 0 {
-			speed = fmt.Sprintf("%.2fx", r.Speedup)
+		if r.BlocksOverStepwise > 0 {
+			speed = fmt.Sprintf("%.2fx", r.BlocksOverStepwise)
 		}
 		if r.StepsPerSec > 0 {
 			sps = fmt.Sprintf("%.2fM", r.StepsPerSec/1e6)
 		}
-		fmt.Printf("%-26s %14.0f %12d %14s %10s\n", r.Name, r.NsPerOp, r.AllocsPerOp, sps, speed)
+		fmt.Printf("%-26s %14.0f %12d %14s %12s\n", r.Name, r.NsPerOp, r.AllocsPerOp, sps, speed)
 	}
-	fmt.Printf("(baseline: %s)\n\n", rep.Baseline)
+	fmt.Println()
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -170,67 +170,22 @@ func measureCodec(rep *fleetReport, n int) error {
 	return nil
 }
 
-// loadFleetBaseline reads a previously committed BENCH_fleet.json, or
-// returns nil when none exists (first run).
-func loadFleetBaseline(path string) *fleetReport {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var rep fleetReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil
-	}
-	return &rep
-}
-
-// runFleetCodecBench is the -bench mode's fleet section: re-measure
-// the delta codec and report against the committed BENCH_fleet.json
-// baselines, the way the emulator rows report against the seed tree.
-func runFleetCodecBench(baselinePath string) error {
+// runFleetCodecBench is the -bench mode's fleet section: the delta
+// codec rows, binary against JSON measured in the same run.
+func runFleetCodecBench() error {
 	rep := &fleetReport{}
 	for _, n := range []int{64, 8} {
 		if err := measureCodec(rep, n); err != nil {
 			return err
 		}
 	}
-	base := loadFleetBaseline(baselinePath)
-	baseNs := map[string]float64{}
-	if base != nil {
-		for _, r := range base.Codec {
-			baseNs[r.Name] = r.NsPerOp
-		}
-	}
-	fmt.Println("fleet delta codec (vs committed BENCH_fleet.json baseline):")
-	fmt.Printf("%-28s %12s %12s %12s\n", "benchmark", "ns/op", "baseline", "ratio")
-	for _, r := range rep.Codec {
-		bl, ratio := "-", "-"
-		if b, ok := baseNs[r.Name]; ok && r.NsPerOp > 0 {
-			bl = fmt.Sprintf("%.0f", b)
-			ratio = fmt.Sprintf("%.2fx", b/r.NsPerOp)
-		}
-		fmt.Printf("%-28s %12.0f %12s %12s\n", r.Name, r.NsPerOp, bl, ratio)
-	}
-	fmt.Println()
+	printCodec(rep)
 	return nil
 }
 
-// runFleetBench runs the codec micro-benchmarks and the control-plane
-// study, prints both, and writes the combined BENCH_fleet.json.
-func runFleetBench(ctx context.Context, hosts, relays int, seed int64, outPath string) error {
-	rep := &fleetReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Go: runtime.Version(),
-		Seed:     seed,
-		Baseline: "JSON delta codec over the same fleet (pre-codec wire format)",
-	}
-
-	// Micro: the codec at the two pack sizes that matter — a full
-	// first-sync pack and the 8-vaccine incremental wave.
-	for _, n := range []int{64, 8} {
-		if err := measureCodec(rep, n); err != nil {
-			return err
-		}
-	}
+// printCodec prints the codec rows with the binary rows' speedup and
+// shrink over JSON.
+func printCodec(rep *fleetReport) {
 	fmt.Println("delta codec (JSON baseline vs binary):")
 	fmt.Printf("%-28s %12s %12s %12s %8s %8s\n",
 		"benchmark", "ns/op", "allocs/op", "body-bytes", "speedup", "shrink")
@@ -249,6 +204,25 @@ func runFleetBench(ctx context.Context, hosts, relays int, seed int64, outPath s
 			r.Name, r.NsPerOp, r.AllocsPerOp, body, speed, shrink)
 	}
 	fmt.Println()
+}
+
+// runFleetBench runs the codec micro-benchmarks and the control-plane
+// study, prints both, and writes the combined BENCH_fleet.json.
+func runFleetBench(ctx context.Context, hosts, relays int, seed int64, outPath string) error {
+	rep := &fleetReport{
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Go: runtime.Version(),
+		Seed:     seed,
+		Baseline: "JSON delta codec over the same fleet (pre-codec wire format)",
+	}
+
+	// Micro: the codec at the two pack sizes that matter — a full
+	// first-sync pack and the 8-vaccine incremental wave.
+	for _, n := range []int{64, 8} {
+		if err := measureCodec(rep, n); err != nil {
+			return err
+		}
+	}
+	printCodec(rep)
 
 	// Macro: the convergence study itself.
 	study, err := experiment.RunControlPlane(ctx, experiment.ControlPlaneConfig{

@@ -60,12 +60,11 @@ func run(args []string) error {
 	}
 	if *bench {
 		// The bench trajectory builds its own fixtures; skip the corpus
-		// setup the report paths need. The fleet codec rows ride along,
-		// reported against the committed BENCH_fleet.json baselines.
+		// setup the report paths need. The fleet codec rows ride along.
 		if err := runBench(*bout); err != nil {
 			return err
 		}
-		return runFleetCodecBench(*fout)
+		return runFleetCodecBench()
 	}
 	if *cplane {
 		// The control-plane study builds its own in-process fleet; skip

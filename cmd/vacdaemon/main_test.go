@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -94,7 +95,18 @@ func TestAgentModeSyncsAndShutsDown(t *testing.T) {
 	if _, _, err := reg.Publish(pack.Vaccines...); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(fleet.NewServer(reg).Handler())
+	// served holds a token once a request has been answered, so the
+	// wait below re-checks the fleet view on server events, not on a
+	// timer.
+	served := make(chan struct{}, 1)
+	h := fleet.NewServer(reg).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		select {
+		case served <- struct{}{}:
+		default:
+		}
+	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,18 +116,18 @@ func TestAgentModeSyncsAndShutsDown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{"-server", ts.URL, "-host", "AGENT-01", "-interval", "5ms"}, &buf)
 	}()
-	// Give the agent a few poll intervals, then stop it.
+	// Stop the agent once it has checked in converged and a later
+	// heartbeat has reported its probes.
 	deadline := time.After(5 * time.Second)
-	for reg.Fleet(time.Minute, time.Now()).ActiveHosts == 0 {
+	for st := reg.Fleet(time.Minute, time.Now()); st.Converged == 0 || st.Inspected == 0; st = reg.Fleet(time.Minute, time.Now()) {
 		select {
 		case <-deadline:
-			t.Fatal("agent never checked in")
+			t.Fatalf("agent never checked in converged with probes: %+v", st)
 		case err := <-done:
 			t.Fatalf("agent exited early: %v", err)
-		case <-time.After(5 * time.Millisecond):
+		case <-served:
 		}
 	}
-	time.Sleep(30 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:

@@ -239,8 +239,6 @@ func TestRelayModeServesUpstream(t *testing.T) {
 	relayBase, relayShutdown := bootServer(t, relayOut,
 		"-addr", "127.0.0.1:0", "-upstream", originBase)
 
-	// The relay mirrors asynchronously; poll until its delta matches
-	// the origin's.
 	var originDelta, relayDelta fleet.DeltaResponse
 	resp, err := http.Get(originBase + fleet.PathPacks + "?since=0")
 	if err != nil {
@@ -250,22 +248,32 @@ func TestRelayModeServesUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	// The relay mirrors asynchronously: long-poll it from its current
+	// version, so each request parks until the mirror moves.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(relayBase + fleet.PathPacks + "?since=0")
+	for mirrored := uint64(0); mirrored != originDelta.Version; {
+		if time.Now().After(deadline) {
+			t.Fatalf("relay never mirrored origin: relay v=%d vs origin v=%d", mirrored, originDelta.Version)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s%s?since=%d&wait=1s", relayBase, fleet.PathPacks, mirrored))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = json.NewDecoder(resp.Body).Decode(&relayDelta)
+		var d fleet.DeltaResponse
+		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&d) == nil {
+			mirrored = d.Version
+		}
 		resp.Body.Close()
-		if err == nil && relayDelta.ETag == originDelta.ETag && relayDelta.Version == originDelta.Version {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("relay never mirrored origin: relay %+v vs origin etag=%s v=%d",
-				relayDelta, originDelta.ETag, originDelta.Version)
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err = http.Get(relayBase + fleet.PathPacks + "?since=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&relayDelta)
+	resp.Body.Close()
+	if err != nil || relayDelta.ETag != originDelta.ETag || relayDelta.Version != originDelta.Version {
+		t.Fatalf("relay diverged from origin: relay %+v (%v) vs origin etag=%s v=%d",
+			relayDelta, err, originDelta.ETag, originDelta.Version)
 	}
 	if len(relayDelta.Vaccines) != 5 {
 		t.Fatalf("relay served %d vaccines, want 5", len(relayDelta.Vaccines))

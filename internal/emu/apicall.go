@@ -10,28 +10,22 @@ import (
 	"autovac/internal/winenv"
 )
 
-// callAPI executes one CALLAPI instruction.
-func (c *CPU) callAPI(pc int, in *dInstr) (int, error) {
-	return c.callAPINamed(pc, in.api, in.nArgs)
-}
-
-// callAPINamed executes one API call — direct (CALLAPI) or resolved
-// from a register (CALLAPIR, whose dispatcher looks the name up via the
-// loader's address→API binding before landing here): argument
-// collection from the stack, identifier resolution (direct or via the
-// handle map), taint source allocation, mutation (impact analysis),
-// implementation dispatch, taint application per the API's label, call
-// logging with calling context, and the stdcall argument pop. It
-// returns the APICall's sequence number. Both call forms share this
-// path, so a hash-resolved call is observed, tainted, and mutable
+// callAPI executes one API call — direct (CALLAPI) or resolved from a
+// register (CALLAPIR, whose closure looks the name up via the loader's
+// address→API binding before landing here): argument collection from
+// the stack, identifier resolution (direct or via the handle map),
+// taint source allocation, mutation (impact analysis), implementation
+// dispatch, taint application per the API's label, call logging with
+// calling context, and the stdcall argument pop. Both call forms share
+// this path, so a hash-resolved call is observed, tainted, and mutable
 // exactly like a direct one.
-func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
+func (c *CPU) callAPI(pc int, api string, nArgs int) error {
 	spec, ok := c.registry.Lookup(api)
 	if !ok {
-		return -1, fmt.Errorf("emu: unknown API %q at pc %d", api, pc)
+		return fmt.Errorf("emu: unknown API %q at pc %d", api, pc)
 	}
 	if spec.NArgs != winapi.Variadic && spec.NArgs != nArgs {
-		return -1, fmt.Errorf("emu: %s expects %d args, call site passes %d (pc %d)",
+		return fmt.Errorf("emu: %s expects %d args, call site passes %d (pc %d)",
 			api, spec.NArgs, nArgs, pc)
 	}
 
@@ -42,7 +36,7 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		addr := esp + uint32(4*i)
 		v, t, err := c.mem.readWord(addr)
 		if err != nil {
-			return -1, err
+			return err
 		}
 		c.noteRead(trace.MemLoc(addr, 4), v, nil)
 		args[i] = winapi.Arg{Value: v, Taint: t}
@@ -69,7 +63,7 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		} else {
 			s, _, err := c.ReadCString(args[label.IdentifierArg].Value)
 			if err != nil {
-				return -1, err
+				return err
 			}
 			identifier = s
 			identAddr = args[label.IdentifierArg].Value
@@ -101,7 +95,7 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		var err error
 		out, err = spec.Impl(c, args, src)
 		if err != nil {
-			return -1, err
+			return err
 		}
 	}
 
@@ -180,7 +174,6 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		}
 	}
 	c.tr.Calls = append(c.tr.Calls, call)
-	seq := c.apiSeq
 	c.apiSeq++
 
 	// stdcall: the callee pops its arguments.
@@ -192,7 +185,7 @@ func (c *CPU) callAPINamed(pc int, api string, nArgs int) (int, error) {
 		c.exitKind = trace.ExitProcess
 		c.exitCode = out.ExitCode
 	}
-	return seq, nil
+	return nil
 }
 
 // logArgs renders the argument list for the call record, resolving

@@ -8,42 +8,41 @@ import (
 	"autovac/internal/trace"
 )
 
-// Tier-2 execution: at predecode time the basic-block partition
-// (isa.Program.BlockSpans — the same leader rule static.BuildCFG uses)
-// carves each program into straight-line runs, and every run is fused
-// into a slice of per-instruction closures executed back-to-back with no
-// opcode or operand-kind dispatch. Each run is compiled twice:
+// Every opcode has one implementation: at predecode time each
+// instruction is compiled into a taint-aware closure (decoded.ops,
+// one per pc) with no opcode or operand-kind dispatch left in it.
 //
-//   - a taint-aware variant that matches step() exactly (taint unions,
-//     tainted-predicate recording, the xor-clear idiom);
-//   - an all-untainted fast variant used while the CPU has never
-//     allocated a taint source (CPU.liveTaint). Taint enters the system
-//     only through CALLAPI source allocation, and runs never contain a
-//     CALLAPI, so the invariant cannot break mid-run.
+//   - Tier 1 (step) runs one closure per instruction. With RecordSteps
+//     on, the load/store/flag helpers below note each access into the
+//     step's read/write sets, conditional jumps note the flags read,
+//     apply InvertBranches and report Taken, and step wraps the result
+//     into a trace.Step: stepping is a compiled run of length one.
+//   - Tier 2 carves the basic-block partition (isa.Program.BlockSpans —
+//     the same leader rule static.BuildCFG uses) into straight-line
+//     runs split at every CALLAPI/CALLAPIR, and executes a run's
+//     closures back-to-back. A run's taint-aware body is a subslice of
+//     ops; its all-untainted fast body is a specialisation used while
+//     the CPU has never allocated a taint source (CPU.liveTaint). Taint
+//     enters only through API source allocation, and runs never contain
+//     an API call, so the invariant cannot break mid-run.
 //
-// Execution bails back to the tier-1 step-wise loop whenever fidelity
-// needs it: step recording (per-step access logs), forced execution
-// (branch inversion), an API call boundary (runs are split at every
-// CALLAPI and CALLAPIR), a run that does not fit the remaining step
-// budget, or
-// Options.DisableBlocks. The two tiers are byte-identical — pinned by
-// the trace-parity tests here and the corpus golden hash in core.
+// Runs are bypassed whenever per-step fidelity is needed: step
+// recording, forced execution (branch inversion), a run that does not
+// fit the remaining step budget, or Options.DisableBlocks. The tiers
+// are byte-identical — pinned by the parity tests here and the corpus
+// golden hash in core.
 
-// opFn executes one fused instruction. Straight-line instructions leave
-// c.pc stale (the run sets it on exit); control transfers set c.pc
-// themselves.
+// opFn executes one instruction. Its caller sets c.pc to the
+// fall-through pc first; control transfers overwrite it.
 type opFn func(c *CPU) error
 
-// compiledRun is one CALLAPI-free straight-line run of a basic block,
-// fused into direct-threaded closure slices.
+// compiledRun is one API-call-free straight-line run of a basic block.
 type compiledRun struct {
-	// n is the number of fused instructions (StepCount charge).
-	n int
-	// slow is the taint-aware body; fast assumes a taint-free machine.
+	// slow is the taint-aware body (a subslice of the per-pc ops);
+	// fast assumes a taint-free machine.
 	slow, fast []opFn
-	// fall is the pc execution continues at when the last instruction
-	// is not a control transfer; -1 when the last opFn sets c.pc.
-	fall int
+	// end is the pc after the run's last instruction.
+	end int
 }
 
 // runCompiled executes one fused run. StepCount is charged up front and
@@ -55,86 +54,70 @@ func (c *CPU) runCompiled(r *compiledRun) error {
 	if !c.liveTaint {
 		fns = r.fast
 	}
-	c.tr.StepCount += r.n
+	c.tr.StepCount += len(fns)
+	c.pc = r.end
 	for i, f := range fns {
 		if err := f(c); err != nil {
-			c.tr.StepCount -= r.n - (i + 1)
+			c.tr.StepCount -= len(fns) - (i + 1)
 			return err
 		}
-	}
-	if r.fall >= 0 {
-		c.pc = r.fall
 	}
 	return nil
 }
 
-// compileRuns builds the per-pc table of compiled runs: an entry at
-// every run start (block leader or post-CALLAPI resume point), nil
-// elsewhere. A nil table (or a nil entry where a run failed to compile)
-// degrades to step-wise execution, never to an error: tier-2 is an
-// optimisation, not a semantics change.
-func compileRuns(p *isa.Program, d *decoded) []*compiledRun {
-	spans := p.BlockSpans() // predecode already validated p
-	runs := make([]*compiledRun, len(d.instrs))
-	for _, sp := range spans {
+// compile builds the program's per-pc closures and the tier-2 run
+// table: a run at every run start (block leader or post-API-call
+// resume point), nil elsewhere.
+func compile(p *isa.Program, d *decoded) {
+	n := len(d.instrs)
+	d.ops = make([]opFn, n)
+	fast := make([]opFn, n)
+	for pc := range d.instrs {
+		d.ops[pc], fast[pc] = compileInstr(&d.instrs[pc], pc)
+	}
+	d.runs = make([]*compiledRun, n)
+	for _, sp := range p.BlockSpans() { // predecode already validated p
 		start := sp.Start
-		for pc := sp.Start; pc < sp.End; pc++ {
-			if op := d.instrs[pc].op; op == isa.CALLAPI || op == isa.CALLAPIR {
-				if pc > start {
-					runs[start] = compileRun(d, start, pc)
-				}
-				start = pc + 1
+		for pc := sp.Start; pc <= sp.End; pc++ {
+			// API calls have no fast variant and end a run.
+			if pc < sp.End && fast[pc] != nil {
+				continue
 			}
-		}
-		if sp.End > start {
-			runs[start] = compileRun(d, start, sp.End)
-		}
-	}
-	return runs
-}
-
-// compileRun fuses instructions [start, end) into one run, or returns
-// nil if any instruction is outside the compilable set.
-func compileRun(d *decoded, start, end int) *compiledRun {
-	r := &compiledRun{n: end - start, fall: end}
-	for pc := start; pc < end; pc++ {
-		slow, fast, setsPC := compileInstr(&d.instrs[pc], pc)
-		if slow == nil || fast == nil {
-			return nil
-		}
-		r.slow = append(r.slow, slow)
-		r.fast = append(r.fast, fast)
-		if setsPC {
-			r.fall = -1
+			if pc > start {
+				d.runs[start] = &compiledRun{slow: d.ops[start:pc:pc], fast: fast[start:pc:pc], end: pc}
+			}
+			start = pc + 1
 		}
 	}
-	return r
 }
 
-// compileInstr builds the two closure variants of one instruction.
-// setsPC reports that the closures assign c.pc (control transfers,
-// always the run's last instruction). A nil return marks the
-// instruction uncompilable.
-func compileInstr(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
+// compileInstr builds the taint-aware closure of one instruction and,
+// except for API calls, its all-untainted fast variant.
+func compileInstr(in *dInstr, pc int) (slow, fast opFn) {
 	switch in.op {
 	case isa.NOP:
 		f := func(*CPU) error { return nil }
-		return f, f, false
+		return f, f
 
 	case isa.MOV:
 		return compileMov(in)
 
 	case isa.MOVB:
-		return compileMovb(in)
+		ld, ldf := loadByte(in.src), loadByteFast(in.src)
+		st, stf := storeByte(in.dst), storeByteFast(in.dst)
+		return moveVia(ld, st), moveFast(ldf, stf)
 
 	case isa.LEA:
-		return compileLea(in)
+		src := in.src
+		st, stf := store(in.dst), storeFast(in.dst)
+		slow = func(c *CPU) error {
+			addr, t := c.addr(src)
+			return st(c, addr, t)
+		}
+		return slow, func(c *CPU) error { return stf(c, src.val+c.base(src)) }
 
 	case isa.PUSH:
-		ld, ldf := loadSlow(in.dst), loadFast(in.dst)
-		if ld == nil || ldf == nil {
-			return nil, nil, false
-		}
+		ld, ldf := load(in.dst), loadFast(in.dst)
 		slow = func(c *CPU) error {
 			v, t, err := ld(c)
 			if err != nil {
@@ -149,13 +132,10 @@ func compileInstr(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
 			}
 			return c.push(v, taint.Set{})
 		}
-		return slow, fast, false
+		return slow, fast
 
 	case isa.POP:
-		st, stf := storeSlow(in.dst), storeFast(in.dst)
-		if st == nil || stf == nil {
-			return nil, nil, false
-		}
+		st, stf := store(in.dst), storeFast(in.dst)
 		slow = func(c *CPU) error {
 			v, t, err := c.pop()
 			if err != nil {
@@ -170,29 +150,30 @@ func compileInstr(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
 			}
 			return stf(c, v)
 		}
-		return slow, fast, false
+		return slow, fast
 
-	case isa.ADD, isa.SUB, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR:
-		return compileALU(in)
+	case isa.ADD, isa.SUB, isa.XOR, isa.AND, isa.OR, isa.SHL, isa.SHR, isa.CMP, isa.TEST:
+		return compileALU(in.op, in.dst, in.src, in.clearsTaint, pc)
 
-	case isa.INC, isa.DEC:
-		return compileIncDec(in)
+	case isa.INC:
+		return compileALU(isa.ADD, in.dst, dOperand{kind: isa.KindImm, val: 1}, false, pc)
 
-	case isa.CMP, isa.TEST:
-		return compileCmpTest(in, pc)
+	case isa.DEC:
+		return compileALU(isa.SUB, in.dst, dOperand{kind: isa.KindImm, val: 1}, false, pc)
 
 	case isa.JMP:
 		target := in.target
-		f := func(c *CPU) error { c.pc = target; return nil }
-		return f, f, true
+		f := func(c *CPU) error {
+			c.pc, c.taken = target, true
+			return nil
+		}
+		return f, f
 
 	case isa.JZ, isa.JNZ, isa.JL, isa.JGE:
-		f := compileJcc(in.op, in.target, pc+1)
-		return f, f, true
+		return compileJcc(in.op, in.target, pc)
 
 	case isa.CALL:
-		target := in.target
-		ret := pc + 1
+		target, ret := in.target, pc+1
 		f := func(c *CPU) error {
 			if err := c.push(uint32(ret), taint.Set{}); err != nil {
 				return err
@@ -201,7 +182,7 @@ func compileInstr(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
 			c.pc = target
 			return nil
 		}
-		return f, f, true
+		return f, f
 
 	case isa.RET:
 		f := func(c *CPU) error {
@@ -216,150 +197,182 @@ func compileInstr(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
 			c.pc = int(v)
 			return nil
 		}
-		return f, f, true
+		return f, f
+
+	case isa.CALLAPI:
+		api, nArgs := in.api, in.nArgs
+		return func(c *CPU) error { return c.callAPI(pc, api, nArgs) }, nil
+
+	case isa.CALLAPIR:
+		// Indirect call: the register holds an address the loader
+		// issued (GetProcAddress result or an export-table walk). An
+		// address outside the binding faults — there is nothing there
+		// to execute.
+		ld, nArgs := load(in.dst), in.nArgs
+		return func(c *CPU) error {
+			v, _, err := ld(c)
+			if err != nil {
+				return err
+			}
+			api, ok := Loader().APIAt(v)
+			if !ok {
+				return fmt.Errorf("emu: callapir to unresolved address %#x at pc %d", v, pc)
+			}
+			return c.callAPI(pc, api, nArgs)
+		}, nil
 
 	case isa.HALT:
-		next := pc + 1
 		f := func(c *CPU) error {
 			c.done = true
 			c.exitKind = trace.ExitHalt
-			c.pc = next
 			return nil
 		}
-		return f, f, true
+		return f, f
 
 	default:
-		// CALLAPI/CALLAPIR never reach here (runs are split around
-		// them); anything else is unknown and stays step-wise.
-		return nil, nil, false
+		op := in.op
+		f := func(*CPU) error { return fmt.Errorf("emu: unknown opcode %v at pc %d", op, pc) }
+		return f, f
 	}
 }
 
-// compileMov fuses MOV, with direct register/immediate specialisations
-// on the fast path (the shape stalling loops are made of).
-func compileMov(in *dInstr) (slow, fast opFn, setsPC bool) {
-	ld, ldf := loadSlow(in.src), loadFast(in.src)
-	st, stf := storeSlow(in.dst), storeFast(in.dst)
-	if ld == nil || ldf == nil || st == nil || stf == nil {
-		return nil, nil, false
-	}
-	slow = func(c *CPU) error {
+// moveVia fuses a taint-aware load into a store.
+func moveVia(ld func(*CPU) (uint32, taint.Set, error), st func(*CPU, uint32, taint.Set) error) opFn {
+	return func(c *CPU) error {
 		v, t, err := ld(c)
 		if err != nil {
 			return err
 		}
 		return st(c, v, t)
 	}
-	if in.dst.kind == isa.KindReg {
-		dst := in.dst.reg
-		switch in.src.kind {
-		case isa.KindImm:
-			v := in.src.val
-			return slow, func(c *CPU) error { c.reg[dst] = v; return nil }, false
-		case isa.KindReg:
-			src := in.src.reg
-			return slow, func(c *CPU) error { c.reg[dst] = c.reg[src]; return nil }, false
-		}
-	}
-	fast = func(c *CPU) error {
-		v, err := ldf(c)
+}
+
+// moveFast fuses an untainted load into a store.
+func moveFast(ld func(*CPU) (uint32, error), st func(*CPU, uint32) error) opFn {
+	return func(c *CPU) error {
+		v, err := ld(c)
 		if err != nil {
 			return err
 		}
-		return stf(c, v)
+		return st(c, v)
 	}
-	return slow, fast, false
 }
 
-// compileMovb fuses the 8-bit move.
-func compileMovb(in *dInstr) (slow, fast opFn, setsPC bool) {
-	ld, ldf := loadByteSlow(in.src), loadByteFast(in.src)
-	st, stf := storeByteSlow(in.dst), storeByteFast(in.dst)
-	if ld == nil || ldf == nil || st == nil || stf == nil {
-		return nil, nil, false
-	}
-	slow = func(c *CPU) error {
-		v, t, err := ld(c)
-		if err != nil {
-			return err
+// compileMov fuses MOV. Register destinations with a register or
+// immediate source — the shape stalling loops are made of — read their
+// operand directly on both variants.
+func compileMov(in *dInstr) (slow, fast opFn) {
+	if dst, src := in.dst.reg, in.src; in.dst.kind == isa.KindReg && src.kind != isa.KindMem {
+		slow = func(c *CPU) error {
+			v, t := c.regOrImm(&src)
+			c.reg[dst], c.regTaint[dst] = v, t
+			c.noteWrite(trace.RegLoc(dst), v, nil)
+			return nil
 		}
-		return st(c, v, t)
-	}
-	fast = func(c *CPU) error {
-		v, err := ldf(c)
-		if err != nil {
-			return err
+		if src.kind == isa.KindImm {
+			return slow, func(c *CPU) error { c.reg[dst] = src.val; return nil }
 		}
-		return stf(c, v)
+		return slow, func(c *CPU) error { c.reg[dst] = c.reg[src.reg]; return nil }
 	}
-	return slow, fast, false
+	return moveVia(load(in.src), store(in.dst)), moveFast(loadFast(in.src), storeFast(in.dst))
 }
 
-// compileLea fuses LEA: the address (and the base register's taint,
-// matching effectiveAddr) flows into the destination.
-func compileLea(in *dInstr) (slow, fast opFn, setsPC bool) {
-	if in.src.kind != isa.KindMem {
-		return nil, nil, false
-	}
-	st, stf := storeSlow(in.dst), storeFast(in.dst)
-	if st == nil || stf == nil {
-		return nil, nil, false
-	}
-	disp := in.src.val
-	if !in.src.hasBase {
-		slow = func(c *CPU) error { return st(c, disp, taint.Set{}) }
-		fast = func(c *CPU) error { return stf(c, disp) }
-		return slow, fast, false
-	}
-	base := in.src.reg
-	slow = func(c *CPU) error {
-		return st(c, disp+c.reg[base], c.regTaint[base])
-	}
-	fast = func(c *CPU) error { return stf(c, disp+c.reg[base]) }
-	return slow, fast, false
-}
-
-// aluFunc returns the arithmetic of one ALU opcode.
+// aluFunc returns the arithmetic of one ALU opcode; CMP and TEST
+// compute SUB and AND without storing the result.
 func aluFunc(op isa.Opcode) func(a, b uint32) uint32 {
 	switch op {
 	case isa.ADD:
 		return func(a, b uint32) uint32 { return a + b }
-	case isa.SUB:
+	case isa.SUB, isa.CMP:
 		return func(a, b uint32) uint32 { return a - b }
 	case isa.XOR:
 		return func(a, b uint32) uint32 { return a ^ b }
-	case isa.AND:
+	case isa.AND, isa.TEST:
 		return func(a, b uint32) uint32 { return a & b }
 	case isa.OR:
 		return func(a, b uint32) uint32 { return a | b }
 	case isa.SHL:
 		return func(a, b uint32) uint32 { return a << (b & 31) }
-	case isa.SHR:
+	default: // SHR
 		return func(a, b uint32) uint32 { return a >> (b & 31) }
 	}
-	return nil
 }
 
-// setFlagsRaw updates ZF/SF without the (no-op outside RecordSteps)
-// trace note — compiled runs never record steps.
-func (c *CPU) setFlagsRaw(v uint32, t taint.Set) {
-	c.zf = v == 0
-	c.sf = int32(v) < 0
-	c.flagsTaint = t
-}
-
-// compileALU fuses the two-operand ALU ops, including the predecoded
-// x-xor-x taint-clear idiom, with register/immediate fast-path
-// specialisations.
-func compileALU(in *dInstr) (slow, fast opFn, setsPC bool) {
-	alu := aluFunc(in.op)
-	ldd, lddf := loadSlow(in.dst), loadFast(in.dst)
-	lds, ldsf := loadSlow(in.src), loadFast(in.src)
-	st, stf := storeSlow(in.dst), storeFast(in.dst)
-	if alu == nil || ldd == nil || lddf == nil || lds == nil || ldsf == nil || st == nil || stf == nil {
-		return nil, nil, false
+// compileALU fuses the two-operand ALU ops (INC/DEC arrive as ADD/SUB
+// of an immediate 1) and the CMP/TEST predicates, including the
+// predecoded x-xor-x taint-clear idiom. As in compileMov, a register
+// destination with a register or immediate source reads its operands
+// directly on both variants.
+func compileALU(op isa.Opcode, dst, src dOperand, clears bool, pc int) (slow, fast opFn) {
+	alu := aluFunc(op)
+	writes := !op.IsPredicate()
+	if r := dst.reg; dst.kind == isa.KindReg && src.kind != isa.KindMem {
+		slow = func(c *CPU) error {
+			a, ta := c.regOrImm(&dst)
+			b, tb := c.regOrImm(&src)
+			v, t := alu(a, b), ta.Union(tb)
+			if clears {
+				t = taint.Set{}
+			}
+			if writes {
+				c.reg[r], c.regTaint[r] = v, t
+				c.noteWrite(trace.RegLoc(r), v, nil)
+			}
+			c.setALUFlags(v, t, !writes, pc)
+			return nil
+		}
+		// The fast variants are split by source kind and by whether the
+		// result is stored, and ADD/SUB of an immediate (counters,
+		// INC/DEC) skip alu: this is the dispatch the untainted loops
+		// tier 2 exists for would otherwise pay per instruction.
+		if imm := src.val; src.kind == isa.KindImm {
+			if op == isa.ADD || op == isa.SUB {
+				if op == isa.SUB {
+					imm = -imm
+				}
+				return slow, func(c *CPU) error {
+					v := c.reg[r] + imm
+					c.reg[r] = v
+					c.zf, c.sf = v == 0, int32(v) < 0
+					return nil
+				}
+			}
+			if !writes {
+				return slow, func(c *CPU) error {
+					v := alu(c.reg[r], imm)
+					c.zf, c.sf = v == 0, int32(v) < 0
+					return nil
+				}
+			}
+			return slow, func(c *CPU) error {
+				v := alu(c.reg[r], imm)
+				c.reg[r] = v
+				c.zf, c.sf = v == 0, int32(v) < 0
+				return nil
+			}
+		}
+		s := src.reg
+		if !writes {
+			return slow, func(c *CPU) error {
+				v := alu(c.reg[r], c.reg[s])
+				c.zf, c.sf = v == 0, int32(v) < 0
+				return nil
+			}
+		}
+		return slow, func(c *CPU) error {
+			v := alu(c.reg[r], c.reg[s])
+			c.reg[r] = v
+			c.zf, c.sf = v == 0, int32(v) < 0
+			return nil
+		}
 	}
-	clears := in.clearsTaint
+	ldd, lds := load(dst), load(src)
+	lddf, ldsf := loadFast(dst), loadFast(src)
+	var st func(*CPU, uint32, taint.Set) error
+	var stf func(*CPU, uint32) error
+	if writes {
+		st, stf = store(dst), storeFast(dst)
+	}
 	slow = func(c *CPU) error {
 		a, ta, err := ldd(c)
 		if err != nil {
@@ -369,41 +382,19 @@ func compileALU(in *dInstr) (slow, fast opFn, setsPC bool) {
 		if err != nil {
 			return err
 		}
-		v := alu(a, b)
-		t := ta.Union(tb)
+		v, t := alu(a, b), ta.Union(tb)
 		if clears {
 			t = taint.Set{}
 		}
-		if err := st(c, v, t); err != nil {
-			return err
+		if writes {
+			if err := st(c, v, t); err != nil {
+				return err
+			}
 		}
-		c.setFlagsRaw(v, t)
+		c.setALUFlags(v, t, !writes, pc)
 		return nil
 	}
-	if in.dst.kind == isa.KindReg {
-		dst := in.dst.reg
-		switch in.src.kind {
-		case isa.KindImm:
-			imm := in.src.val
-			return slow, func(c *CPU) error {
-				v := alu(c.reg[dst], imm)
-				c.reg[dst] = v
-				c.zf = v == 0
-				c.sf = int32(v) < 0
-				return nil
-			}, false
-		case isa.KindReg:
-			src := in.src.reg
-			return slow, func(c *CPU) error {
-				v := alu(c.reg[dst], c.reg[src])
-				c.reg[dst] = v
-				c.zf = v == 0
-				c.sf = int32(v) < 0
-				return nil
-			}, false
-		}
-	}
-	fast = func(c *CPU) error {
+	return slow, func(c *CPU) error {
 		a, err := lddf(c)
 		if err != nil {
 			return err
@@ -413,227 +404,137 @@ func compileALU(in *dInstr) (slow, fast opFn, setsPC bool) {
 			return err
 		}
 		v := alu(a, b)
-		if err := stf(c, v); err != nil {
-			return err
+		if writes {
+			if err := stf(c, v); err != nil {
+				return err
+			}
 		}
-		c.zf = v == 0
-		c.sf = int32(v) < 0
+		c.zf, c.sf = v == 0, int32(v) < 0
 		return nil
 	}
-	return slow, fast, false
 }
 
-// compileIncDec fuses INC/DEC.
-func compileIncDec(in *dInstr) (slow, fast opFn, setsPC bool) {
-	var delta uint32 = 1
-	if in.op == isa.DEC {
-		delta = ^uint32(0) // -1
+// setALUFlags sets the flags from an ALU result. A compare-only
+// instruction with a tainted result is AUTOVAC's Phase-I signal — a
+// branch depends on system-resource data (§III-B) — and is recorded
+// as a tainted predicate at pc. Fast variants never see one: no taint
+// source exists yet.
+func (c *CPU) setALUFlags(v uint32, t taint.Set, compare bool, pc int) {
+	c.setFlags(v, t)
+	if compare && !t.Empty() {
+		c.tr.Predicates = append(c.tr.Predicates, trace.PredicateHit{
+			PC: pc, Sources: t.Sources(),
+		})
 	}
-	ld, ldf := loadSlow(in.dst), loadFast(in.dst)
-	st, stf := storeSlow(in.dst), storeFast(in.dst)
-	if ld == nil || ldf == nil || st == nil || stf == nil {
-		return nil, nil, false
-	}
+}
+
+// compileJcc builds a conditional jump: JZ/JNZ test ZF, JL/JGE test SF,
+// and JNZ/JGE negate the test. The taint-aware variant also notes the
+// flags read, applies forced execution's InvertBranches and reports
+// Taken; the fast variants test their flag directly.
+func compileJcc(op isa.Opcode, target, pc int) (slow, fast opFn) {
+	onSF := op == isa.JL || op == isa.JGE
+	neg := op == isa.JNZ || op == isa.JGE
 	slow = func(c *CPU) error {
-		a, ta, err := ld(c)
-		if err != nil {
-			return err
+		c.noteRead(trace.FlagsLoc(), flagBits(c.zf, c.sf), nil)
+		jump := c.flag(onSF) != neg
+		if len(c.opts.InvertBranches) > 0 && c.invertBranch(pc) {
+			jump = !jump
 		}
-		v := a + delta
-		if err := st(c, v, ta); err != nil {
-			return err
-		}
-		c.setFlagsRaw(v, ta)
-		return nil
-	}
-	if in.dst.kind == isa.KindReg {
-		r := in.dst.reg
-		return slow, func(c *CPU) error {
-			v := c.reg[r] + delta
-			c.reg[r] = v
-			c.zf = v == 0
-			c.sf = int32(v) < 0
-			return nil
-		}, false
-	}
-	fast = func(c *CPU) error {
-		a, err := ldf(c)
-		if err != nil {
-			return err
-		}
-		v := a + delta
-		if err := stf(c, v); err != nil {
-			return err
-		}
-		c.zf = v == 0
-		c.sf = int32(v) < 0
-		return nil
-	}
-	return slow, fast, false
-}
-
-// compileCmpTest fuses CMP/TEST, preserving Phase-I's tainted-predicate
-// recording on the taint-aware path. The fast path cannot see a tainted
-// predicate by construction (no taint source exists yet).
-func compileCmpTest(in *dInstr, pc int) (slow, fast opFn, setsPC bool) {
-	isCmp := in.op == isa.CMP
-	ldd, lddf := loadSlow(in.dst), loadFast(in.dst)
-	lds, ldsf := loadSlow(in.src), loadFast(in.src)
-	if ldd == nil || lddf == nil || lds == nil || ldsf == nil {
-		return nil, nil, false
-	}
-	slow = func(c *CPU) error {
-		a, ta, err := ldd(c)
-		if err != nil {
-			return err
-		}
-		b, tb, err := lds(c)
-		if err != nil {
-			return err
-		}
-		var v uint32
-		if isCmp {
-			v = a - b
-		} else {
-			v = a & b
-		}
-		t := ta.Union(tb)
-		c.setFlagsRaw(v, t)
-		if !t.Empty() {
-			c.tr.Predicates = append(c.tr.Predicates, trace.PredicateHit{
-				PC: pc, Sources: t.Sources(),
-			})
+		if c.taken = jump; jump {
+			c.pc = target
 		}
 		return nil
 	}
-	if in.dst.kind == isa.KindReg {
-		dst := in.dst.reg
-		switch in.src.kind {
-		case isa.KindImm:
-			imm := in.src.val
-			return slow, func(c *CPU) error {
-				var v uint32
-				if isCmp {
-					v = c.reg[dst] - imm
-				} else {
-					v = c.reg[dst] & imm
-				}
-				c.zf = v == 0
-				c.sf = int32(v) < 0
-				return nil
-			}, false
-		case isa.KindReg:
-			src := in.src.reg
-			return slow, func(c *CPU) error {
-				var v uint32
-				if isCmp {
-					v = c.reg[dst] - c.reg[src]
-				} else {
-					v = c.reg[dst] & c.reg[src]
-				}
-				c.zf = v == 0
-				c.sf = int32(v) < 0
-				return nil
-			}, false
-		}
-	}
-	fast = func(c *CPU) error {
-		a, err := lddf(c)
-		if err != nil {
-			return err
-		}
-		b, err := ldsf(c)
-		if err != nil {
-			return err
-		}
-		var v uint32
-		if isCmp {
-			v = a - b
-		} else {
-			v = a & b
-		}
-		c.zf = v == 0
-		c.sf = int32(v) < 0
-		return nil
-	}
-	return slow, fast, false
-}
-
-// compileJcc builds a conditional-jump closure (taint-independent, so
-// one closure serves both variants).
-func compileJcc(op isa.Opcode, target, fall int) opFn {
 	switch op {
 	case isa.JZ:
-		return func(c *CPU) error {
+		return slow, func(c *CPU) error {
 			if c.zf {
 				c.pc = target
-			} else {
-				c.pc = fall
 			}
 			return nil
 		}
 	case isa.JNZ:
-		return func(c *CPU) error {
-			if c.zf {
-				c.pc = fall
-			} else {
+		return slow, func(c *CPU) error {
+			if !c.zf {
 				c.pc = target
 			}
 			return nil
 		}
 	case isa.JL:
-		return func(c *CPU) error {
+		return slow, func(c *CPU) error {
 			if c.sf {
-				c.pc = target
-			} else {
-				c.pc = fall
-			}
-			return nil
-		}
-	default: // JGE
-		return func(c *CPU) error {
-			if c.sf {
-				c.pc = fall
-			} else {
 				c.pc = target
 			}
 			return nil
 		}
 	}
+	return slow, func(c *CPU) error {
+		if !c.sf {
+			c.pc = target
+		}
+		return nil
+	}
 }
 
-// loadSlow compiles a 32-bit operand read with taint — readOperand
-// minus the (RecordSteps-only) access notes, which compiled runs never
-// need.
-func loadSlow(o dOperand) func(c *CPU) (uint32, taint.Set, error) {
+// flag returns SF or ZF.
+func (c *CPU) flag(sf bool) bool {
+	if sf {
+		return c.sf
+	}
+	return c.zf
+}
+
+// regOrImm reads a register or immediate operand with its taint,
+// noting a register read.
+func (c *CPU) regOrImm(o *dOperand) (uint32, taint.Set) {
+	if o.kind == isa.KindImm {
+		return o.val, taint.Set{}
+	}
+	c.noteRead(trace.RegLoc(o.reg), c.reg[o.reg], nil)
+	return c.reg[o.reg], c.regTaint[o.reg]
+}
+
+// addr computes a memory operand's effective address and the taint of
+// the address computation (the base register's), noting the base read.
+func (c *CPU) addr(o dOperand) (uint32, taint.Set) {
+	if !o.hasBase {
+		return o.val, taint.Set{}
+	}
+	c.noteRead(trace.RegLoc(o.reg), c.reg[o.reg], nil)
+	return o.val + c.reg[o.reg], c.regTaint[o.reg]
+}
+
+// base is the fast path's base-register contribution to an address.
+func (c *CPU) base(o dOperand) uint32 {
+	if o.hasBase {
+		return c.reg[o.reg]
+	}
+	return 0
+}
+
+// load compiles a 32-bit operand read with taint, noting the accesses.
+func load(o dOperand) func(c *CPU) (uint32, taint.Set, error) {
 	switch o.kind {
 	case isa.KindReg:
 		r := o.reg
 		return func(c *CPU) (uint32, taint.Set, error) {
+			c.noteRead(trace.RegLoc(r), c.reg[r], nil)
 			return c.reg[r], c.regTaint[r], nil
 		}
 	case isa.KindImm:
 		v := o.val
-		return func(c *CPU) (uint32, taint.Set, error) {
-			return v, taint.Set{}, nil
-		}
-	case isa.KindMem:
-		disp := o.val
-		if !o.hasBase {
-			return func(c *CPU) (uint32, taint.Set, error) {
-				return c.mem.readWord(disp)
-			}
-		}
-		base := o.reg
-		return func(c *CPU) (uint32, taint.Set, error) {
-			v, t, err := c.mem.readWord(disp + c.reg[base])
-			if err != nil {
-				return 0, taint.Set{}, err
-			}
-			return v, t.Union(c.regTaint[base]), nil
-		}
+		return func(*CPU) (uint32, taint.Set, error) { return v, taint.Set{}, nil }
 	}
-	return nil
+	return func(c *CPU) (uint32, taint.Set, error) {
+		addr, at := c.addr(o)
+		v, t, err := c.mem.readWord(addr)
+		if err != nil {
+			return 0, taint.Set{}, err
+		}
+		c.noteRead(trace.MemLoc(addr, 4), v, nil)
+		return v, t.Union(at), nil
+	}
 }
 
 // loadFast compiles a 32-bit operand read for the taint-free machine.
@@ -644,104 +545,70 @@ func loadFast(o dOperand) func(c *CPU) (uint32, error) {
 		return func(c *CPU) (uint32, error) { return c.reg[r], nil }
 	case isa.KindImm:
 		v := o.val
-		return func(c *CPU) (uint32, error) { return v, nil }
-	case isa.KindMem:
-		disp := o.val
-		if !o.hasBase {
-			return func(c *CPU) (uint32, error) {
-				v, _, err := c.mem.readWord(disp)
-				return v, err
-			}
-		}
-		base := o.reg
-		return func(c *CPU) (uint32, error) {
-			v, _, err := c.mem.readWord(disp + c.reg[base])
-			return v, err
-		}
+		return func(*CPU) (uint32, error) { return v, nil }
 	}
-	return nil
+	return func(c *CPU) (uint32, error) {
+		v, _, err := c.mem.readWord(o.val + c.base(o))
+		return v, err
+	}
 }
 
-// storeSlow compiles a 32-bit operand write with taint.
-func storeSlow(o dOperand) func(c *CPU, v uint32, t taint.Set) error {
-	switch o.kind {
-	case isa.KindReg:
+// store compiles a 32-bit operand write with taint, noting the
+// accesses.
+func store(o dOperand) func(c *CPU, v uint32, t taint.Set) error {
+	if o.kind == isa.KindReg {
 		r := o.reg
 		return func(c *CPU, v uint32, t taint.Set) error {
 			c.reg[r] = v
 			c.regTaint[r] = t
+			c.noteWrite(trace.RegLoc(r), v, nil)
 			return nil
 		}
-	case isa.KindMem:
-		disp := o.val
-		if !o.hasBase {
-			return func(c *CPU, v uint32, t taint.Set) error {
-				return c.mem.writeWord(disp, v, t)
-			}
-		}
-		base := o.reg
-		return func(c *CPU, v uint32, t taint.Set) error {
-			return c.mem.writeWord(disp+c.reg[base], v, t)
-		}
 	}
-	return nil
+	return func(c *CPU, v uint32, t taint.Set) error {
+		addr, _ := c.addr(o)
+		if err := c.mem.writeWord(addr, v, t); err != nil {
+			return err
+		}
+		c.noteWrite(trace.MemLoc(addr, 4), v, nil)
+		return nil
+	}
 }
 
 // storeFast compiles a 32-bit operand write for the taint-free machine.
 func storeFast(o dOperand) func(c *CPU, v uint32) error {
-	switch o.kind {
-	case isa.KindReg:
+	if o.kind == isa.KindReg {
 		r := o.reg
-		return func(c *CPU, v uint32) error {
-			c.reg[r] = v
-			return nil
-		}
-	case isa.KindMem:
-		disp := o.val
-		if !o.hasBase {
-			return func(c *CPU, v uint32) error {
-				return c.mem.writeWord(disp, v, taint.Set{})
-			}
-		}
-		base := o.reg
-		return func(c *CPU, v uint32) error {
-			return c.mem.writeWord(disp+c.reg[base], v, taint.Set{})
-		}
+		return func(c *CPU, v uint32) error { c.reg[r] = v; return nil }
 	}
-	return nil
+	return func(c *CPU, v uint32) error {
+		return c.mem.writeWord(o.val+c.base(o), v, taint.Set{})
+	}
 }
 
-// loadByteSlow compiles an 8-bit operand read with taint.
-func loadByteSlow(o dOperand) func(c *CPU) (uint32, taint.Set, error) {
+// loadByte compiles an 8-bit operand read with taint, noting the
+// accesses (a register read notes the full register).
+func loadByte(o dOperand) func(c *CPU) (uint32, taint.Set, error) {
 	switch o.kind {
 	case isa.KindReg:
 		r := o.reg
 		return func(c *CPU) (uint32, taint.Set, error) {
+			c.noteRead(trace.RegLoc(r), c.reg[r], nil)
 			return c.reg[r] & 0xFF, c.regTaint[r], nil
 		}
 	case isa.KindImm:
 		v := o.val & 0xFF
-		return func(c *CPU) (uint32, taint.Set, error) {
-			return v, taint.Set{}, nil
-		}
-	case isa.KindMem:
-		disp := o.val
-		base, hasBase := o.reg, o.hasBase
-		return func(c *CPU) (uint32, taint.Set, error) {
-			addr := disp
-			var at taint.Set
-			if hasBase {
-				addr += c.reg[base]
-				at = c.regTaint[base]
-			}
-			b, t, err := c.mem.readByte(addr)
-			if err != nil {
-				return 0, taint.Set{}, err
-			}
-			return uint32(b), t.Union(at), nil
-		}
+		return func(*CPU) (uint32, taint.Set, error) { return v, taint.Set{}, nil }
 	}
-	return nil
+	return func(c *CPU) (uint32, taint.Set, error) {
+		addr, at := c.addr(o)
+		b, t, err := c.mem.readByte(addr)
+		if err != nil {
+			return 0, taint.Set{}, err
+		}
+		c.noteRead(trace.MemLoc(addr, 1), uint32(b), nil)
+		return uint32(b), t.Union(at), nil
+	}
 }
 
 // loadByteFast compiles an 8-bit operand read for the taint-free
@@ -753,68 +620,48 @@ func loadByteFast(o dOperand) func(c *CPU) (uint32, error) {
 		return func(c *CPU) (uint32, error) { return c.reg[r] & 0xFF, nil }
 	case isa.KindImm:
 		v := o.val & 0xFF
-		return func(c *CPU) (uint32, error) { return v, nil }
-	case isa.KindMem:
-		disp := o.val
-		base, hasBase := o.reg, o.hasBase
-		return func(c *CPU) (uint32, error) {
-			addr := disp
-			if hasBase {
-				addr += c.reg[base]
-			}
-			b, _, err := c.mem.readByte(addr)
-			return uint32(b), err
-		}
+		return func(*CPU) (uint32, error) { return v, nil }
 	}
-	return nil
+	return func(c *CPU) (uint32, error) {
+		b, _, err := c.mem.readByte(o.val + c.base(o))
+		return uint32(b), err
+	}
 }
 
-// storeByteSlow compiles an 8-bit operand write with taint. Register
-// byte stores merge taint (writeOperandByte's semantics: the high bytes
-// keep their provenance).
-func storeByteSlow(o dOperand) func(c *CPU, v uint32, t taint.Set) error {
-	switch o.kind {
-	case isa.KindReg:
+// storeByte compiles an 8-bit operand write with taint, noting the
+// accesses. Register byte stores merge taint: the high bytes keep
+// their provenance.
+func storeByte(o dOperand) func(c *CPU, v uint32, t taint.Set) error {
+	if o.kind == isa.KindReg {
 		r := o.reg
 		return func(c *CPU, v uint32, t taint.Set) error {
 			c.reg[r] = (c.reg[r] &^ 0xFF) | (v & 0xFF)
 			c.regTaint[r] = c.regTaint[r].Union(t)
+			c.noteWrite(trace.RegLoc(r), c.reg[r], nil)
 			return nil
 		}
-	case isa.KindMem:
-		disp := o.val
-		base, hasBase := o.reg, o.hasBase
-		return func(c *CPU, v uint32, t taint.Set) error {
-			addr := disp
-			if hasBase {
-				addr += c.reg[base]
-			}
-			return c.mem.writeByte(addr, byte(v), t)
-		}
 	}
-	return nil
+	return func(c *CPU, v uint32, t taint.Set) error {
+		addr, _ := c.addr(o)
+		if err := c.mem.writeByte(addr, byte(v), t); err != nil {
+			return err
+		}
+		c.noteWrite(trace.MemLoc(addr, 1), v&0xFF, nil)
+		return nil
+	}
 }
 
 // storeByteFast compiles an 8-bit operand write for the taint-free
 // machine.
 func storeByteFast(o dOperand) func(c *CPU, v uint32) error {
-	switch o.kind {
-	case isa.KindReg:
+	if o.kind == isa.KindReg {
 		r := o.reg
 		return func(c *CPU, v uint32) error {
 			c.reg[r] = (c.reg[r] &^ 0xFF) | (v & 0xFF)
 			return nil
 		}
-	case isa.KindMem:
-		disp := o.val
-		base, hasBase := o.reg, o.hasBase
-		return func(c *CPU, v uint32) error {
-			addr := disp
-			if hasBase {
-				addr += c.reg[base]
-			}
-			return c.mem.writeByte(addr, byte(v), taint.Set{})
-		}
 	}
-	return nil
+	return func(c *CPU, v uint32) error {
+		return c.mem.writeByte(o.val+c.base(o), byte(v), taint.Set{})
+	}
 }

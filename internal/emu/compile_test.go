@@ -94,8 +94,9 @@ func memoryMixer() *isa.Program {
 	return b.MustBuild()
 }
 
-func TestBlockParityPrograms(t *testing.T) {
-	progs := map[string]*isa.Program{
+// parityPrograms is the tier-parity program set, keyed by name.
+func parityPrograms() map[string]*isa.Program {
+	return map[string]*isa.Program{
 		"mutex-checker": mutexChecker("!BlockParity"),
 		"hot-loop":      hotLoop(500),
 		"stalling":      stallingLoop(300),
@@ -103,7 +104,10 @@ func TestBlockParityPrograms(t *testing.T) {
 		"algo-mutex":    algoMutex(),
 		"dormant":       dormantSample(),
 	}
-	for name, prog := range progs {
+}
+
+func TestBlockParityPrograms(t *testing.T) {
+	for name, prog := range parityPrograms() {
 		t.Run(name, func(t *testing.T) {
 			assertTierParity(t, prog, Options{Seed: 11})
 		})
@@ -177,7 +181,7 @@ func TestCompiledRunsSplitAtAPICalls(t *testing.T) {
 		if r == nil {
 			continue
 		}
-		for i := 0; i < r.n; i++ {
+		for i := range r.slow {
 			if d.instrs[pc+i].op == isa.CALLAPI {
 				t.Errorf("compiled run at pc %d contains CALLAPI at pc %d", pc, pc+i)
 			}

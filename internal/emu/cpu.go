@@ -124,7 +124,6 @@ const DefaultMaxSteps = 200_000
 // winapi.Machine.
 type CPU struct {
 	prog     *isa.Program
-	code     []dInstr
 	env      *winenv.Env
 	registry *winapi.Registry
 	opts     Options
@@ -139,9 +138,12 @@ type CPU struct {
 	callStack  []int
 	rngState   uint64
 
-	// runs is the program's shared tier-2 dispatch table; liveTaint
+	// ops is the program's shared per-pc closure table (the one
+	// implementation of every instruction) and runs its tier-2
+	// dispatch table; liveTaint
 	// flips (monotonically, per run) the moment a taint source is
 	// allocated, retiring the all-untainted compiled fast path.
+	ops       []opFn
 	runs      []*compiledRun
 	liveTaint bool
 
@@ -156,6 +158,8 @@ type CPU struct {
 	curReads    []trace.Access
 	curWrites   []trace.Access
 	accessArena []trace.Access
+	// taken is the recorded step's branch outcome.
+	taken bool
 
 	done     bool
 	exitCode uint32
@@ -180,7 +184,7 @@ func New(prog *isa.Program, env *winenv.Env, opts Options) (*CPU, error) {
 	}
 	c := &CPU{
 		prog:     prog,
-		code:     d.instrs,
+		ops:      d.ops,
 		runs:     d.runs,
 		env:      env,
 		registry: opts.Registry,

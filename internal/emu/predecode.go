@@ -55,10 +55,11 @@ type decoded struct {
 	instrs  []dInstr
 	symbols map[string]uint32
 	segs    []segImage
-	// runs is the tier-2 block-compiled dispatch table (compile.go):
-	// an entry per run-start pc, nil elsewhere. Shared across every CPU
-	// executing the program — compiled closures capture only immutable
-	// predecode data.
+	// ops holds each instruction's compiled closure and runs the
+	// tier-2 dispatch table, an entry per run-start pc (compile.go).
+	// Shared across every CPU executing the program — compiled
+	// closures capture only immutable predecode data.
+	ops  []opFn
 	runs []*compiledRun
 }
 
@@ -125,7 +126,7 @@ func predecode(p *isa.Program) (*decoded, error) {
 		}
 		d.instrs[i] = di
 	}
-	d.runs = compileRuns(p, d)
+	compile(p, d)
 	return d, nil
 }
 

@@ -21,6 +21,40 @@ type regEntry struct {
 	v       vaccine.Vaccine
 	fp      string // content fingerprint, for idempotent republish
 	version uint64
+	// prev is the visible entry this one replaced, kept until the
+	// fence covers version: Delta serves it in place of an entry above
+	// the fence, so a staged replacement never hides the vaccine.
+	prev *regEntry
+}
+
+// replace stores e over the shard's current entry for its ID, keeping
+// the replaced entry — or, if that one is still above the fence, the
+// visible entry it kept — as e.prev. The caller holds s.mu.
+func (r *Registry) replace(s *regShard, id string, e regEntry) {
+	if old, ok := s.byID[id]; ok {
+		e.prev = old.prev // old is staged too: keep what it kept
+		if old.version <= r.visible.Load() {
+			old.prev = nil
+			e.prev = &old
+		}
+	}
+	s.byID[id] = e
+	s.version = max(s.version, e.version)
+}
+
+// settle drops the replaced entries a batch kept once the fence
+// covers it.
+func (r *Registry) settle(recs []walRecord) {
+	fence := r.visible.Load()
+	for _, rec := range recs {
+		s := r.shardFor(rec.Vaccine.ID)
+		s.mu.Lock()
+		if e := s.byID[rec.Vaccine.ID]; e.prev != nil && e.version <= fence {
+			e.prev = nil
+			s.byID[rec.Vaccine.ID] = e
+		}
+		s.mu.Unlock()
+	}
 }
 
 // regShard is one RWMutex-guarded slice of the vaccine space.
@@ -53,13 +87,25 @@ type hostState struct {
 // tracked in a separately sharded table. All methods are safe for
 // concurrent use.
 //
+// Readers never look at the version counter. They read the visible
+// fence, which a publish advances once for its whole batch, and only
+// after the batch's WAL records are fsynced: entries stored above the
+// fence are invisible to Delta, Latest, the 304 path and the encode
+// cache, so no reader sees part of a batch or a version a crash could
+// take back.
+//
 // A registry is in-memory by default; OpenRegistry (wal.go) attaches a
 // write-ahead log and snapshot so publishes survive process restart
 // with the monotonic version history intact.
 type Registry struct {
-	shards    []regShard
-	hostTab   []hostShard
+	shards  []regShard
+	hostTab []hostShard
+	// version is the last assigned publish version; visible is the
+	// fence readers see. pubMu makes each batch's versions contiguous
+	// and its entries stored and logged before a later batch's.
 	version   atomic.Uint64
+	visible   atomic.Uint64
+	pubMu     sync.Mutex
 	generator atomic.Pointer[string]
 
 	// notify is the publish broadcaster: long-poll sync requests park
@@ -161,33 +207,41 @@ func (r *Registry) Analysis() (vaccine.AnalysisStats, bool) {
 // whose content is unchanged is a no-op (no version bump), so
 // periodic full-pack publishes don't force fleet-wide resyncs; a
 // changed vaccine under an existing ID replaces it at a new version.
-// It returns the registry's latest version and the number of vaccines
+// It returns the registry's visible version and the number of vaccines
 // actually (re)stored.
 //
 // Publication is the last gate before fleet-wide distribution, so in
 // addition to record validation every vaccine must pass the static
 // slice verifier (VerifyReplayable): a vaccine whose replay slice
-// could loop, fault, or touch host resources is refused.
-// When the registry is persistent (OpenRegistry), every stored vaccine
-// is appended to the write-ahead log and Publish returns only after the
-// records are fsynced; concurrent publishers share one fsync (group
-// commit). Long-poll waiters are woken only after durability, so no
-// agent can observe a version that a crash could take back.
+// could loop, fault, or touch host resources is refused; the vaccines
+// before it are still published.
+//
+// The batch is atomic and durable before it is visible: its entries
+// are stored above the visible fence (records reach memory before the
+// log, which compaction relies on), appended to the WAL when the
+// registry is persistent, fsynced — concurrent publishers share one
+// fsync (group commit) — and only then does the fence move past the
+// whole batch and long-poll waiters wake. A failed append or fsync
+// returns its error without moving the fence; the batch stays stored,
+// so the next successful publish's fence covers it too.
 func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
-	stored := 0
-	var batch []walRecord
 	var pubErr error
+	fps := make([]string, 0, len(vs))
 	for i := range vs {
+		err := vs[i].Validate()
+		if err == nil {
+			err = vs[i].VerifyReplayable()
+		}
+		if err != nil {
+			pubErr = fmt.Errorf("fleet: publish: %w", err)
+			break
+		}
+		fps = append(fps, vs[i].Fingerprint())
+	}
+	r.pubMu.Lock()
+	var batch []walRecord
+	for i, fp := range fps {
 		v := vs[i]
-		if err := v.Validate(); err != nil {
-			pubErr = fmt.Errorf("fleet: publish: %w", err)
-			break
-		}
-		if err := v.VerifyReplayable(); err != nil {
-			pubErr = fmt.Errorf("fleet: publish: %w", err)
-			break
-		}
-		fp := v.Fingerprint()
 		s := r.shardFor(v.ID)
 		s.mu.Lock()
 		if prev, ok := s.byID[v.ID]; ok && prev.fp == fp {
@@ -195,42 +249,64 @@ func (r *Registry) Publish(vs ...vaccine.Vaccine) (uint64, int, error) {
 			continue
 		}
 		ver := r.version.Add(1)
-		s.byID[v.ID] = regEntry{v: v, fp: fp, version: ver}
-		s.version = ver
+		r.replace(s, v.ID, regEntry{v: v, fp: fp, version: ver})
 		s.mu.Unlock()
-		stored++
-		if r.wal != nil {
-			batch = append(batch, walRecord{Version: ver, Vaccine: v})
-		}
+		batch = append(batch, walRecord{Version: ver, Vaccine: v})
 	}
-	// Vaccines stored before a mid-batch rejection must still reach
-	// the log and the waiters: the error reports the bad vaccine, not
-	// a rollback.
-	if len(batch) > 0 {
-		if err := r.logBatch(batch); err != nil && pubErr == nil {
-			pubErr = err
-		}
+	var gen uint64
+	var logErr error
+	if r.wal != nil && len(batch) > 0 {
+		gen, logErr = r.wal.append(batch)
 	}
-	if stored > 0 {
-		r.notify.wake()
+	r.pubMu.Unlock()
+	if len(batch) == 0 {
+		return r.visible.Load(), 0, pubErr
 	}
-	return r.version.Load(), stored, pubErr
+	if publishStagedHook != nil {
+		publishStagedHook()
+	}
+	if r.wal != nil && logErr == nil {
+		logErr = r.syncBatch(gen)
+	}
+	if logErr != nil {
+		return r.visible.Load(), len(batch), logErr
+	}
+	// Appends are ordered by pubMu and an fsync covers every earlier
+	// append, so the fence may move past any batch staged before this
+	// one as well; ratcheting keeps a slower publisher from moving it
+	// back.
+	ratchet(&r.visible, batch[len(batch)-1].Version)
+	r.notify.wake()
+	r.settle(batch)
+	return r.visible.Load(), len(batch), pubErr
 }
 
-// Latest returns the registry's latest publish version.
-func (r *Registry) Latest() uint64 { return r.version.Load() }
+// publishStagedHook, when set, runs after a publish has stored and
+// appended its batch and before the fsync that makes it visible. The
+// durability tests use it to stop a publish exactly there.
+var publishStagedHook func()
 
-// ratchetVersion lifts the version counter to at least v without
-// publishing anything. Relays use it to adopt an upstream fence that
-// ran ahead of the highest record version (no-op republishes advance
-// the origin counter without new content).
-func (r *Registry) ratchetVersion(v uint64) {
+// Latest returns the registry's visible publish version.
+func (r *Registry) Latest() uint64 { return r.visible.Load() }
+
+// ratchet lifts a to at least v.
+func ratchet(a *atomic.Uint64, v uint64) {
 	for {
-		cur := r.version.Load()
-		if v <= cur || r.version.CompareAndSwap(cur, v) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
+}
+
+// ratchetVersion lifts the version counter and the visible fence to at
+// least v without publishing anything. WAL recovery calls it once the
+// replay is applied, and relays once per mirrored delta: the fence can
+// run ahead of the highest record version (no-op republishes advance
+// the origin counter without new content).
+func (r *Registry) ratchetVersion(v uint64) {
+	ratchet(&r.version, v)
+	ratchet(&r.visible, v)
 }
 
 // resetMirror drops every stored vaccine and rewinds the version
@@ -250,6 +326,7 @@ func (r *Registry) resetMirror() {
 		s.mu.Unlock()
 	}
 	r.version.Store(0)
+	r.visible.Store(0)
 }
 
 // Count returns the number of distinct vaccines stored.
@@ -283,18 +360,24 @@ var deltaScanHook func()
 // did not contain, so agents adopted that Version and never fetched the
 // vaccine. With the fence first, a mid-scan publish is assigned a
 // version above the fence and is excluded from both the body and the
-// Version — the next poll picks it up. (An entry replaced mid-scan to a
-// version above the fence drops out of this delta entirely; its
-// replacement, being newer than the reported Version, is fetched next
-// poll, so convergence to the latest content is never lost.)
+// Version — the next poll picks it up. An entry replaced above the
+// fence is served as the visible entry it replaced (regEntry.prev),
+// so a staged replacement never hides a vaccine. (If the fence was
+// loaded before that replaced entry itself became visible, the entry
+// drops out of this delta; its replacement, being newer than the
+// reported Version, is fetched next poll, so convergence to the latest
+// content is never lost.)
 func (r *Registry) Delta(since uint64) *DeltaResponse {
-	fence := r.version.Load()
+	fence := r.visible.Load()
 	var entries []regEntry
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.RLock()
 		if s.version > since {
 			for _, e := range s.byID {
+				if e.version > fence && e.prev != nil {
+					e = *e.prev
+				}
 				if e.version > since && e.version <= fence {
 					entries = append(entries, e)
 				}
@@ -341,7 +424,7 @@ func (r *Registry) Checkin(req CheckinRequest, now time.Time) CheckinResponse {
 		lastSeen:    now,
 	}
 	s.mu.Unlock()
-	return CheckinResponse{Version: r.version.Load()}
+	return CheckinResponse{Version: r.visible.Load()}
 }
 
 // FleetStatus summarises the host heartbeat table.
@@ -365,7 +448,7 @@ type FleetStatus struct {
 // Fleet reports heartbeat aggregates over hosts seen within the
 // window ending at now.
 func (r *Registry) Fleet(window time.Duration, now time.Time) FleetStatus {
-	latest := r.version.Load()
+	latest := r.visible.Load()
 	var st FleetStatus
 	seen := false
 	cutoff := now.Add(-window)

@@ -23,7 +23,8 @@ import (
 // Version mirroring is exact, not re-issued: the binary delta codec
 // carries each vaccine's origin publish version (DeltaResponse.Versions)
 // and the relay applies them verbatim via the WAL replay path
-// (applyRecord), then ratchets its counter to the upstream fence. A
+// (applyRecord), then moves its visible fence to the upstream fence
+// once per delta. A
 // cursor an agent obtained from one relay therefore means the same
 // thing at every other relay and at the origin. The binary codec is
 // required upstream for this reason — JSON deltas do not carry the
@@ -179,11 +180,17 @@ func (rl *Relay) applyDelta(d *DeltaResponse) (int, error) {
 		rl.reg.resetMirror()
 		rl.stats.Resyncs++
 	}
+	// Records and the generator land first; the visible fence then
+	// moves once for the whole delta, so downstream readers never see
+	// part of one.
+	recs := make([]walRecord, len(d.Vaccines))
 	for i := range d.Vaccines {
-		rl.reg.applyRecord(walRecord{Version: d.Versions[i], Vaccine: d.Vaccines[i]})
+		recs[i] = walRecord{Version: d.Versions[i], Vaccine: d.Vaccines[i]}
+		rl.reg.applyRecord(recs[i])
 	}
-	rl.reg.ratchetVersion(d.Version)
 	rl.reg.SetGenerator(d.Generator)
+	rl.reg.ratchetVersion(d.Version)
+	rl.reg.settle(recs)
 	rl.advance(d)
 	rl.stats.Syncs++
 	rl.stats.Deltas++

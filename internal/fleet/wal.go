@@ -36,7 +36,8 @@ import (
 // file there, so the registry reboots to exactly its durable prefix.
 //
 // Publish appends records and fsyncs before returning (group commit:
-// concurrent publishers share one fsync). Compaction rotates to a
+// concurrent publishers share one fsync), and only then moves the
+// registry's visible fence past them. Compaction rotates to a
 // fresh segment, snapshots the full in-memory state, and deletes the
 // older segments; replay is idempotent (records apply by max version),
 // so a crash anywhere in that sequence recovers cleanly.
@@ -257,30 +258,23 @@ func readSegment(path string) (recs []walRecord, good int64, size int64, err err
 	}
 }
 
-// applyRecord installs one replayed record, trusting the log (the
-// vaccine was validated and slice-verified at publish time). Replay is
-// idempotent: an entry only moves forward in version, and the counter
-// only ratchets up.
+// applyRecord installs one replayed or mirrored record, trusting the
+// log (the vaccine was validated and slice-verified at publish time).
+// Replay is idempotent: an entry only moves forward in version. It
+// leaves the version counter and the visible fence alone — callers
+// ratchet them once the whole replay or delta is applied, so readers
+// never see part of one.
 func (r *Registry) applyRecord(rec walRecord) {
 	s := r.shardFor(rec.Vaccine.ID)
 	s.mu.Lock()
 	if prev, ok := s.byID[rec.Vaccine.ID]; !ok || prev.version <= rec.Version {
-		s.byID[rec.Vaccine.ID] = regEntry{
+		r.replace(s, rec.Vaccine.ID, regEntry{
 			v:       rec.Vaccine,
 			fp:      rec.Vaccine.Fingerprint(),
 			version: rec.Version,
-		}
-		if rec.Version > s.version {
-			s.version = rec.Version
-		}
+		})
 	}
 	s.mu.Unlock()
-	for {
-		cur := r.version.Load()
-		if rec.Version <= cur || r.version.CompareAndSwap(cur, rec.Version) {
-			return
-		}
-	}
 }
 
 // OpenRegistry opens (or creates) a persistent registry rooted at dir:
@@ -296,6 +290,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		return nil, fmt.Errorf("fleet: OpenRegistry: %w", err)
 	}
 	r := NewRegistry(shards)
+	var top uint64 // highest replayed version
 
 	// Snapshot first.
 	snapPath := filepath.Join(dir, snapshotName)
@@ -307,9 +302,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		for _, rec := range snap.Records {
 			r.applyRecord(rec)
 		}
-		if snap.Version > r.version.Load() {
-			r.version.Store(snap.Version)
-		}
+		top = snap.Version
 		r.SetGenerator(snap.Generator)
 		r.recovery.SnapshotVersion = snap.Version
 	} else if !os.IsNotExist(err) {
@@ -339,6 +332,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		}
 		for _, rec := range recs {
 			r.applyRecord(rec)
+			top = max(top, rec.Version)
 		}
 		replayed += len(recs)
 		r.recovery.Segments++
@@ -347,6 +341,7 @@ func OpenRegistry(dir string, shards int) (*Registry, error) {
 		}
 	}
 	r.recovery.Records = replayed
+	r.ratchetVersion(top)
 
 	// Append to a fresh segment: never write after a truncated tail,
 	// and give compaction a natural rotation point.
@@ -383,13 +378,9 @@ func (r *Registry) Close() error {
 	return r.wal.close()
 }
 
-// logBatch appends one publish's records and waits for durability,
-// then triggers compaction if the log has grown past CompactEvery.
-func (r *Registry) logBatch(batch []walRecord) error {
-	gen, err := r.wal.append(batch)
-	if err != nil {
-		return fmt.Errorf("fleet: wal append: %w", err)
-	}
+// syncBatch waits until the append generation gen is durable, then
+// triggers compaction if the log has grown past CompactEvery.
+func (r *Registry) syncBatch(gen uint64) error {
 	if err := r.wal.sync(gen); err != nil {
 		return fmt.Errorf("fleet: wal sync: %w", err)
 	}
